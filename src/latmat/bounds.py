@@ -29,7 +29,13 @@ from .incidence import (
     real_power,
     up_convolution,
 )
-from .matrices import CombinedSpec, combined_matrix
+from .matrices import (
+    CombinedSpec,
+    FactorizationError,
+    combined_matrix,
+    factor_join_closed,
+    factor_meet_closed,
+)
 from .poset import divisor_lattice, divisor_poset, divisors_of
 from .spectra import eigen_symmetric
 
@@ -169,53 +175,41 @@ def lower_bound_meet(spec: CombinedSpec, c_value: ConstantValue) -> BoundReport:
     S.  The bound is c * min over S of that convolution * min over S of
     (f(x)^2)**(beta-gamma).
     """
-    _require_symmetric_case(spec)
-    _require_nonzero_semimultiplicative(spec)
-    s = spec.subset
-    conv = down_convolution(spec.f, spec.alpha - spec.beta, s)
-    for label, value in zip(conv.domain.labels, conv.values):
-        if value <= 0.0:
-            raise HypothesisError(
-                "the meet-side lower bound requires a strictly positive "
-                f"down-convolution on the order ideal; violated at {label!r} "
-                f"(value {value})"
-            )
-    min_conv = float(conv.values[: len(s)].min())
-    min_fpow = min(
-        real_power(spec.f.value_at(i) ** 2, spec.beta - spec.gamma) for i in s.indices
-    )
-    bound = c_value.value * min_conv * min_fpow
-    true_kappa = float(np.abs(eigen_symmetric(combined_matrix(spec)).eigenvalues).min())
-    return BoundReport(
-        "meet", bound, c_value, min_conv, min_fpow, true_kappa, _holds(bound, true_kappa)
-    )
+    return _lower_bound(spec, c_value, "meet", down_convolution, spec.alpha, spec.beta)
 
 
 def lower_bound_join(spec: CombinedSpec, c_value: ConstantValue) -> BoundReport:
-    """Join-side twin of lower_bound_meet, through the order filter.
+    """Join-side twin of lower_bound_meet: the same bound on the order dual.
 
     Needs a strictly positive up-convolution of f**(beta-alpha) on the whole
     order filter of S; the last factor becomes (f(x)^2)**(alpha-gamma).
     """
+    return _lower_bound(spec, c_value, "join", up_convolution, spec.beta, spec.alpha)
+
+
+# The cores below take the meet side's (alpha, beta) as (a, b); the join side
+# passes the order dual's: (beta, alpha), up for down, join for meet.
+_CLOSURE = {"down": "order ideal", "up": "order filter"}
+
+
+def _lower_bound(spec: CombinedSpec, c_value, side, convolution, a, b) -> BoundReport:
     _require_symmetric_case(spec)
     _require_nonzero_semimultiplicative(spec)
     s = spec.subset
-    conv = up_convolution(spec.f, spec.beta - spec.alpha, s)
+    conv = convolution(spec.f, a - b, s)
     for label, value in zip(conv.domain.labels, conv.values):
         if value <= 0.0:
             raise HypothesisError(
-                "the join-side lower bound requires a strictly positive "
-                f"up-convolution on the order filter; violated at {label!r} "
-                f"(value {value})"
+                f"the {side}-side lower bound requires a strictly positive "
+                f"{conv.direction}-convolution on the {_CLOSURE[conv.direction]}; "
+                f"violated at {label!r} (value {value})"
             )
     min_conv = float(conv.values[: len(s)].min())
-    min_fpow = min(
-        real_power(spec.f.value_at(i) ** 2, spec.alpha - spec.gamma) for i in s.indices
-    )
+    min_fpow = min(real_power(spec.f.value_at(i) ** 2, b - spec.gamma) for i in s.indices)
     bound = c_value.value * min_conv * min_fpow
     true_kappa = float(np.abs(eigen_symmetric(combined_matrix(spec)).eigenvalues).min())
     return BoundReport(
-        "join", bound, c_value, min_conv, min_fpow, true_kappa, _holds(bound, true_kappa)
+        side, bound, c_value, min_conv, min_fpow, true_kappa, _holds(bound, true_kappa)
     )
 
 
@@ -244,36 +238,6 @@ def _check_ratio_condition(spec: CombinedSpec, exponent: float) -> None:
                 )
 
 
-def _region_d_meet(spec: CombinedSpec) -> np.ndarray:
-    s = spec.subset
-    conv = down_convolution(spec.f, spec.alpha - spec.beta, s)
-    leq = s.parent._leq
-    d = np.zeros(len(s))
-    for i, x in enumerate(s.indices):
-        earlier = list(s.indices[:i])
-        d[i] = sum(
-            conv.values[pos]
-            for pos, z in enumerate(conv.domain.indices)
-            if leq[z, x] and not any(leq[z, y] for y in earlier)
-        )
-    return d
-
-
-def _region_d_join(spec: CombinedSpec) -> np.ndarray:
-    s = spec.subset
-    conv = up_convolution(spec.f, spec.beta - spec.alpha, s)
-    leq = s.parent._leq
-    d = np.zeros(len(s))
-    for i, x in enumerate(s.indices):
-        later = list(s.indices[i + 1 :])
-        d[i] = sum(
-            conv.values[pos]
-            for pos, z in enumerate(conv.domain.indices)
-            if leq[x, z] and not any(leq[y, z] for y in later)
-        )
-    return d
-
-
 def _finish_region(spec: CombinedSpec, side, c_value, d, fpow_exponent) -> RegionReport:
     s = spec.subset
     f = spec.f
@@ -297,27 +261,27 @@ def region_meet_closed(spec: CombinedSpec, c_value: ConstantValue) -> RegionRepo
     """Disc-union eigenvalue region for a meet closed index set.
 
     Discs are centered at f(x_k)**(alpha+beta-2 gamma) with common outer
-    value H = C * max |f|^(2(beta-gamma)) * max |d_i|, where d_i slices the
-    down-convolution of f**(alpha-beta) over new ideal elements.
+    value H = C * max |f|^(2(beta-gamma)) * max |d_i|, where d is that of
+    factor_meet_closed for f**(alpha-beta).
     """
-    _require_symmetric_case(spec)
-    spec.validate()
-    if not spec.subset.is_meet_closed():
-        raise HypothesisError("the meet-side region requires a meet closed set")
-    _check_ratio_condition(spec, spec.beta)
-    d = _region_d_meet(spec)
-    return _finish_region(spec, "meet", c_value, d, 2.0 * (spec.beta - spec.gamma))
+    return _region(spec, c_value, "meet", factor_meet_closed, spec.alpha, spec.beta)
 
 
 def region_join_closed(spec: CombinedSpec, c_value: ConstantValue) -> RegionReport:
-    """Disc-union eigenvalue region for a join closed index set (dual form)."""
+    """Disc-union eigenvalue region for a join closed index set: the meet
+    closed region on the order dual, with alpha and beta swapped."""
+    return _region(spec, c_value, "join", factor_join_closed, spec.beta, spec.alpha)
+
+
+def _region(spec: CombinedSpec, c_value, side, factor, a, b) -> RegionReport:
     _require_symmetric_case(spec)
     spec.validate()
-    if not spec.subset.is_join_closed():
-        raise HypothesisError("the join-side region requires a join closed set")
-    _check_ratio_condition(spec, spec.alpha)
-    d = _region_d_join(spec)
-    return _finish_region(spec, "join", c_value, d, 2.0 * (spec.alpha - spec.gamma))
+    try:
+        _, d = factor(spec.subset, spec.f, a - b)
+    except FactorizationError:  # the set is not closed
+        raise HypothesisError(f"the {side}-side region requires a {side} closed set") from None
+    _check_ratio_condition(spec, b)
+    return _finish_region(spec, side, c_value, d, 2.0 * (b - spec.gamma))
 
 
 def interval_from_discs(report: RegionReport):

@@ -176,59 +176,44 @@ def down_convolution(f: PosetFunction, alpha: float, s: ElementSubset) -> Convol
     Integer-valued f with a nonnegative integer exponent is accumulated in
     exact integer arithmetic before widening to float.
     """
-    p = s.parent
-    if f.parent is not p:
-        raise ValueError("function and subset live on different posets")
-    if not p.has_bottom:
+    if not s.parent.has_bottom:
         raise LatticeError("down convolution requires a bottom element")
-    ideal = s.order_ideal()
-    idx = list(ideal.indices)
-    mu = p.mobius().matrix[np.ix_(idx, idx)]
-    fpow, exact = _powers(f, idx, alpha)
-    if exact is not None:
-        vals = np.array(
-            [float(sum(exact[a] * int(mu[a, b]) for a in range(len(idx)))) for b in range(len(idx))]
-        )
-    else:
-        vals = fpow @ mu.astype(np.float64)
-    return ConvolutionVector("down", float(alpha), ideal, vals)
+    return _convolution("down", f, alpha, s.order_ideal(), s.parent.mobius().matrix)
 
 
 def up_convolution(f: PosetFunction, alpha: float, s: ElementSubset) -> ConvolutionVector:
-    """Sum of mu(w, z) * f(z)**alpha over z above w, for every w in the filter of S."""
-    p = s.parent
-    if not p.has_top:
+    """Sum of mu(w, z) * f(z)**alpha over z above w, for every w in the filter of S:
+    the down-convolution on the order dual, whose Mobius matrix is mu.T."""
+    if not s.parent.has_top:
         raise LatticeError("up convolution requires a top element")
-    filt = s.order_filter()
-    idx = list(filt.indices)
-    mu = p.mobius().matrix[np.ix_(idx, idx)]
+    return _convolution("up", f, alpha, s.order_filter(), s.parent.mobius().matrix.T)
+
+
+def _convolution(direction: str, f: PosetFunction, alpha: float, domain, mu) -> ConvolutionVector:
+    """Sum of f(z)**alpha * mu[z, w] over z in the domain, for every w in it."""
+    if f.parent is not domain.parent:
+        raise ValueError("function and subset live on different posets")
+    idx = list(domain.indices)
+    mu = mu[np.ix_(idx, idx)]
     fpow, exact = _powers(f, idx, alpha)
-    if exact is not None:
-        vals = np.array(
-            [float(sum(int(mu[a, b]) * exact[b] for b in range(len(idx)))) for a in range(len(idx))]
-        )
+    if exact is not None:  # Python ints in an object array: the sums stay exact
+        vals = (np.array(exact, dtype=object) @ mu.astype(object)).astype(np.float64)
     else:
-        vals = mu.astype(np.float64) @ fpow
-    return ConvolutionVector("up", float(alpha), filt, vals)
+        vals = fpow @ mu.astype(np.float64)
+    return ConvolutionVector(direction, float(alpha), domain, vals)
 
 
 def is_semimultiplicative(f: PosetFunction, p: Poset | None = None, tol: float = SEMIMULT_TOL) -> bool:
     """Check f(x)f(y) = f(meet)f(join) for all pairs, to a relative tolerance.
 
-    The poset must be a lattice; missing meets or joins raise eagerly.
+    The poset must be a lattice; a missing meet or join raises LatticeError.
     """
     if p is None:
         p = f.parent
     if p is not f.parent:
         raise ValueError("function is not defined on the given poset")
-    n = len(p)
     v = f.values
-    for i in range(n):
-        for j in range(i + 1, n):
-            m = p._meet_index(i, j)
-            u = p._join_index(i, j)
-            lhs = v[i] * v[j]
-            rhs = v[m] * v[u]
-            if abs(lhs - rhs) > tol * max(1.0, abs(lhs)):
-                return False
-    return True
+    meets, joins = p._bound_values(v)
+    lhs = np.outer(v, v)
+    mismatch = np.abs(lhs - meets * joins) > tol * np.maximum(1.0, np.abs(lhs))
+    return not np.triu(mismatch, 1).any()

@@ -90,21 +90,18 @@ class CombinedSpec:
                 "f vanishes on a member of S, which requires gamma = delta = 0"
             )
         p = s.parent
-        if self.alpha < 0.0:
+        for exponent, name, bound, index in (
+            (self.alpha, "alpha", "meet", p._meet_index),
+            (self.beta, "beta", "join", p._join_index),
+        ):
+            if exponent >= 0.0:
+                continue
             for a, i in enumerate(s.indices):
                 for j in s.indices[: a + 1]:
-                    if f.value_at(p._meet_index(i, j)) == 0.0:
+                    if f.value_at(index(i, j)) == 0.0:
                         raise ExistenceError(
-                            f"f vanishes at the meet of {p.label_of(i)!r} and "
-                            f"{p.label_of(j)!r}, which requires alpha >= 0"
-                        )
-        if self.beta < 0.0:
-            for a, i in enumerate(s.indices):
-                for j in s.indices[: a + 1]:
-                    if f.value_at(p._join_index(i, j)) == 0.0:
-                        raise ExistenceError(
-                            f"f vanishes at the join of {p.label_of(i)!r} and "
-                            f"{p.label_of(j)!r}, which requires beta >= 0"
+                            f"f vanishes at the {bound} of {p.label_of(i)!r} and "
+                            f"{p.label_of(j)!r}, which requires {name} >= 0"
                         )
 
     @property
@@ -247,43 +244,25 @@ def factor_ideal(s: ElementSubset, f: PosetFunction, alpha: float = 1.0) -> np.n
     row i, column j is sqrt of the down-convolution at w_j when w_j lies
     below x_i, else zero.
     """
-    conv = down_convolution(f, alpha, s)
-    ideal = conv.domain
-    roots = _sqrt_entries(conv.values, ideal.labels)
-    leq = s.parent._leq
-    a = np.zeros((len(s), len(ideal)))
-    for col, w in enumerate(ideal.indices):
-        for row, x in enumerate(s.indices):
-            if leq[w, x]:
-                a[row, col] = roots[col]
-    return a
+    return _root_factor(s, down_convolution(f, alpha, s), s.parent._leq)
 
 
 def factor_filter(s: ElementSubset, f: PosetFunction, alpha: float = 1.0) -> np.ndarray:
-    """n x m factor A with A A^T equal to the join matrix of f**alpha."""
-    conv = up_convolution(f, alpha, s)
-    filt = conv.domain
-    roots = _sqrt_entries(conv.values, filt.labels)
-    leq = s.parent._leq
-    a = np.zeros((len(s), len(filt)))
-    for col, w in enumerate(filt.indices):
-        for row, x in enumerate(s.indices):
-            if leq[x, w]:
-                a[row, col] = roots[col]
-    return a
+    """n x m factor A with A A^T equal to the join matrix of f**alpha: the
+    ideal factor on the order dual, columns over the order filter of S."""
+    return _root_factor(s, up_convolution(f, alpha, s), s.parent._leq.T)
+
+
+def _root_factor(s: ElementSubset, conv, leq: np.ndarray) -> np.ndarray:
+    roots = _sqrt_entries(conv.values, conv.domain.labels)
+    below = leq[np.ix_(conv.domain.indices, s.indices)].T  # below[i, j]: w_j <= x_i
+    return below * roots
 
 
 def incidence_matrix(s: ElementSubset) -> np.ndarray:
     """E with e_ij = 1 iff x_j lies below x_i; unit lower triangular under
     the canonical subset ordering."""
-    leq = s.parent._leq
-    n = len(s)
-    e = np.zeros((n, n))
-    for a in range(n):
-        for b in range(n):
-            if leq[s.indices[b], s.indices[a]]:
-                e[a, b] = 1.0
-    return e
+    return s.parent._leq[np.ix_(s.indices, s.indices)].T.astype(np.float64)
 
 
 def factor_meet_closed(s: ElementSubset, f: PosetFunction, alpha: float = 1.0):
@@ -294,40 +273,27 @@ def factor_meet_closed(s: ElementSubset, f: PosetFunction, alpha: float = 1.0):
     """
     if not s.is_meet_closed():
         raise FactorizationError("set is not meet closed")
-    conv = down_convolution(f, alpha, s)
-    ideal = conv.domain
-    leq = s.parent._leq
-    d = np.zeros(len(s))
-    for i, x in enumerate(s.indices):
-        earlier = list(s.indices[:i])
-        total = 0.0
-        for pos, z in enumerate(ideal.indices):
-            if leq[z, x] and not any(leq[z, y] for y in earlier):
-                total += conv.values[pos]
-        d[i] = total
-    return incidence_matrix(s), d
+    return incidence_matrix(s), _closed_d(down_convolution(f, alpha, s), s.indices, s.parent._leq)
 
 
 def factor_join_closed(s: ElementSubset, f: PosetFunction, alpha: float = 1.0):
     """(E, d) with E^T diag(d) E equal to the join matrix of f**alpha.
 
     Requires S join closed.  d_i collects the up-convolution over the
-    elements above x_i that are above no later member.
+    elements above x_i that are above no later member (the meet-closed d on
+    the order dual, which lists S in reverse).
     """
     if not s.is_join_closed():
         raise FactorizationError("set is not join closed")
-    conv = up_convolution(f, alpha, s)
-    filt = conv.domain
-    leq = s.parent._leq
-    d = np.zeros(len(s))
-    for i, x in enumerate(s.indices):
-        later = list(s.indices[i + 1 :])
-        total = 0.0
-        for pos, z in enumerate(filt.indices):
-            if leq[x, z] and not any(leq[y, z] for y in later):
-                total += conv.values[pos]
-        d[i] = total
-    return incidence_matrix(s), d
+    d = _closed_d(up_convolution(f, alpha, s), s.indices[::-1], s.parent._leq.T)
+    return incidence_matrix(s), d[::-1]
+
+
+def _closed_d(conv, members, leq: np.ndarray) -> np.ndarray:
+    """d_i: the convolution summed over the domain elements whose first member
+    above them under leq is members[i]."""
+    first = leq[np.ix_(conv.domain.indices, members)].argmax(axis=1)
+    return np.bincount(first, weights=conv.values, minlength=len(members))
 
 
 # -- structure factorizations -------------------------------------------------
@@ -361,29 +327,26 @@ def structure_meet(spec: CombinedSpec) -> StructureFactors:
 
     M = F^(beta-gamma) (meet matrix of f^(alpha-beta) o G_beta) F^(beta-delta).
     """
-    spec.validate()
-    s = spec.subset
-    fvals = np.array([spec.f.value_at(i) for i in s.indices])
-    core = meet_matrix(s, spec.f, spec.alpha - spec.beta)
-    g = g_matrix(s, spec.f, spec.beta)
-    return StructureFactors(
-        fvals, spec.beta - spec.gamma, spec.beta - spec.delta, core, g
-    )
+    return _structure(spec, meet_matrix, spec.alpha, spec.beta)
 
 
 def structure_join(spec: CombinedSpec) -> StructureFactors:
     """Join-oriented structure factorization of the combined matrix.
 
-    M = F^(alpha-gamma) (join matrix of f^(beta-alpha) o G_alpha) F^(alpha-delta).
+    M = F^(alpha-gamma) (join matrix of f^(beta-alpha) o G_alpha) F^(alpha-delta),
+    the meet-oriented form on the order dual (alpha and beta swapped).
     """
+    return _structure(spec, join_matrix, spec.beta, spec.alpha)
+
+
+def _structure(spec: CombinedSpec, core_matrix, a: float, b: float) -> StructureFactors:
+    """The meet-oriented form for (alpha, beta) = (a, b); the join side passes its dual."""
     spec.validate()
     s = spec.subset
     fvals = np.array([spec.f.value_at(i) for i in s.indices])
-    core = join_matrix(s, spec.f, spec.beta - spec.alpha)
-    g = g_matrix(s, spec.f, spec.alpha)
-    return StructureFactors(
-        fvals, spec.alpha - spec.gamma, spec.alpha - spec.delta, core, g
-    )
+    core = core_matrix(s, spec.f, a - b)
+    g = g_matrix(s, spec.f, b)
+    return StructureFactors(fvals, b - spec.gamma, b - spec.delta, core, g)
 
 
 def ideal_block_split(spec: CombinedSpec):

@@ -6,6 +6,11 @@ of the partial order, so the ``leq`` matrix is upper triangular with a
 True diagonal.  Posets are immutable once built and safe for concurrent
 reads; derived structures (cover relation, meet/join tables, Mobius
 table) are computed lazily and cached.
+
+The join side is the meet side on the order dual: the same set under the
+transposed relation (``leq.T``, Mobius matrix ``mu.T``).  The meet-table
+routine also needs a linear extension, so the join table is built on the
+dual renumbered i -> N-1-i and read back through that index map.
 """
 
 from __future__ import annotations
@@ -37,6 +42,24 @@ def _transitive_closure(rel: np.ndarray) -> np.ndarray:
         if np.array_equal(nxt, reach):
             return reach
         reach = nxt
+
+
+def _meet_tables(leq: np.ndarray):
+    # For each pair, the greatest lower bound has the largest index among
+    # common lower bounds (leq must order the elements by a linear extension),
+    # so it suffices to locate that candidate and verify it dominates the rest.
+    n = leq.shape[0]
+    table = np.zeros((n, n), dtype=np.int64)
+    status = np.full((n, n), _NO_BOUND, dtype=np.int8)
+    for i in range(n):
+        cand = leq[:, i : i + 1] & leq  # cand[z, j]: z below both i and j
+        has = cand.any(axis=0)
+        best = n - 1 - np.argmax(cand[::-1, :], axis=0)
+        dominated = ~(cand & ~leq[:, best]).any(axis=0)
+        table[i, :] = best
+        status[i, has & dominated] = _OK
+        status[i, has & ~dominated] = _NOT_UNIQUE
+    return table, status
 
 
 class Poset:
@@ -138,65 +161,45 @@ class Poset:
 
     @cached_property
     def _meet_data(self):
-        # For each pair, the greatest lower bound has the largest index among
-        # common lower bounds (the element order is a linear extension), so it
-        # suffices to locate that candidate and verify it dominates the rest.
-        leq = self._leq
-        n = len(self)
-        table = np.zeros((n, n), dtype=np.int64)
-        status = np.full((n, n), _NO_BOUND, dtype=np.int8)
-        for i in range(n):
-            cand = leq[:, i : i + 1] & leq  # cand[z, j]: z below both i and j
-            has = cand.any(axis=0)
-            best = n - 1 - np.argmax(cand[::-1, :], axis=0)
-            dominated = ~(cand & ~leq[:, best]).any(axis=0)
-            table[i, :] = best
-            status[i, has & dominated] = _OK
-            status[i, has & ~dominated] = _NOT_UNIQUE
-        return table, status
+        return _meet_tables(self._leq)
 
     @cached_property
     def _join_data(self):
-        leq = self._leq
-        n = len(self)
-        table = np.zeros((n, n), dtype=np.int64)
-        status = np.full((n, n), _NO_BOUND, dtype=np.int8)
-        above = leq.T  # above[z, x]: z is an upper bound of x
-        for i in range(n):
-            cand = above[:, i : i + 1] & above
-            has = cand.any(axis=0)
-            best = np.argmax(cand, axis=0)  # least upper bound has smallest index
-            dominated = ~(cand & ~leq[best, :].T).any(axis=0)
-            table[i, :] = best
-            status[i, has & dominated] = _OK
-            status[i, has & ~dominated] = _NOT_UNIQUE
-        return table, status
+        # Joins are the meets of the order dual.  Renumbered i -> N-1-i, the
+        # dual order is again a linear extension, so the meet routine builds
+        # its table; the table stays in that numbering (see _join_index).
+        return _meet_tables(self._leq[::-1, ::-1].T)
+
+    def _bound_index(self, data, bound: str, i: int, j: int, a: int, b: int) -> int:
+        """Entry (a, b) of a meet table, which stands for the pair (i, j) here."""
+        table, status = data
+        if status[a, b] == _NO_BOUND:
+            raise LatticeError(
+                f"no common {bound.split()[1]} bound of {self._labels[i]!r} and {self._labels[j]!r}"
+            )
+        if status[a, b] == _NOT_UNIQUE:
+            raise LatticeError(
+                f"{bound} bound of {self._labels[i]!r} and {self._labels[j]!r} "
+                "is not unique (not a lattice at this pair)"
+            )
+        return int(table[a, b])
 
     def _meet_index(self, i: int, j: int) -> int:
-        table, status = self._meet_data
-        if status[i, j] == _NO_BOUND:
-            raise LatticeError(
-                f"no common lower bound of {self._labels[i]!r} and {self._labels[j]!r}"
-            )
-        if status[i, j] == _NOT_UNIQUE:
-            raise LatticeError(
-                f"greatest lower bound of {self._labels[i]!r} and {self._labels[j]!r} "
-                "is not unique (not a lattice at this pair)"
-            )
-        return int(table[i, j])
+        return self._bound_index(self._meet_data, "greatest lower", i, j, i, j)
 
     def _join_index(self, i: int, j: int) -> int:
-        table, status = self._join_data
-        if status[i, j] == _NO_BOUND:
-            raise LatticeError(
-                f"no common upper bound of {self._labels[i]!r} and {self._labels[j]!r}"
-            )
-        if status[i, j] == _NOT_UNIQUE:
-            raise LatticeError(
-                f"least upper bound of {self._labels[i]!r} and {self._labels[j]!r} "
-                "is not unique (not a lattice at this pair)"
-            )
-        return int(table[i, j])
+        n = len(self) - 1
+        return n - self._bound_index(self._join_data, "least upper", i, j, n - i, n - j)
+
+    def _bound_values(self, values: np.ndarray):
+        """values at the meet and at the join of every pair, as two N x N arrays;
+        raises LatticeError at the first pair without a unique meet or join."""
+        (meets, meet_status), (joins, join_status) = self._meet_data, self._join_data
+        checks = ((meet_status, self._meet_index), (join_status[::-1, ::-1], self._join_index))
+        for status, lookup in checks:
+            for i, j in np.argwhere(status != _OK)[:1]:
+                lookup(i, j)  # raises, naming the pair
+        return values[meets], values[::-1][joins[::-1, ::-1]]
 
     def meet(self, x, y):
         """Greatest lower bound of x and y; raises LatticeError if undefined."""
@@ -208,17 +211,17 @@ class Poset:
 
     def is_lattice(self) -> bool:
         """True iff every pair of elements has a unique meet and a unique join."""
-        _, mstat = self._meet_data
-        _, jstat = self._join_data
-        return bool((mstat == _OK).all() and (jstat == _OK).all())
+        return all((status == _OK).all() for _, status in (self._meet_data, self._join_data))
 
     # -- Mobius function ---------------------------------------------------
 
     def mobius(self) -> "MobiusTable":
-        return self._mobius
+        return MobiusTable(self, self._mobius_matrix)
 
     @cached_property
-    def _mobius(self) -> "MobiusTable":
+    def _mobius_matrix(self) -> np.ndarray:
+        # Only the matrix is cached: a cached MobiusTable would point back at
+        # this poset and keep it alive until the cyclic collector runs.
         # The zeta matrix is unit upper triangular under a linear extension;
         # its inverse is the Mobius matrix.  Both recursion directions amount
         # to the right and the left inverse, computed independently and
@@ -238,7 +241,7 @@ class Poset:
         if not np.array_equal(left, right):
             raise RuntimeError("Mobius recursion directions disagree")
         right.setflags(write=False)
-        return MobiusTable(self, right)
+        return right
 
     # -- subsets and intervals ----------------------------------------------
 
@@ -315,16 +318,15 @@ class ElementSubset:
 
     def is_meet_closed(self) -> bool:
         """True iff the meet of every member pair is again a member."""
-        for a, i in enumerate(self.indices):
-            for j in self.indices[: a + 1]:
-                if self.parent._meet_index(i, j) not in self._member_set:
-                    return False
-        return True
+        return self._closed_under(self.parent._meet_index)
 
     def is_join_closed(self) -> bool:
+        return self._closed_under(self.parent._join_index)
+
+    def _closed_under(self, op) -> bool:
         for a, i in enumerate(self.indices):
             for j in self.indices[: a + 1]:
-                if self.parent._join_index(i, j) not in self._member_set:
+                if op(i, j) not in self._member_set:
                     return False
         return True
 
@@ -336,15 +338,17 @@ class ElementSubset:
         """
         if not self.parent.has_bottom:
             raise LatticeError("order ideal requires a bottom element")
-        mask = self.parent._leq[:, list(self.indices)].any(axis=1)
-        rest = [k for k in np.nonzero(mask)[0] if k not in self._member_set]
-        return ElementSubset(self.parent, list(self.indices) + rest, validate=False)
+        return self._closure(self.parent._leq)
 
     def order_filter(self) -> "ElementSubset":
-        """Upward closure of S, ordered with the members of S first."""
+        """Upward closure of S, members first: the order ideal under leq.T."""
         if not self.parent.has_top:
             raise LatticeError("order filter requires a top element")
-        mask = self.parent._leq[list(self.indices), :].any(axis=0)
+        return self._closure(self.parent._leq.T)
+
+    def _closure(self, leq: np.ndarray) -> "ElementSubset":
+        """The members of S, then every other element below one under leq, in poset order."""
+        mask = leq[:, list(self.indices)].any(axis=1)
         rest = [k for k in np.nonzero(mask)[0] if k not in self._member_set]
         return ElementSubset(self.parent, list(self.indices) + rest, validate=False)
 

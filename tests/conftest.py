@@ -38,6 +38,15 @@ def diamond():
 
 
 @pytest.fixture
+def m3():
+    """The five-element lattice with three atoms: the smallest non-distributive one."""
+    return latmat.from_cover_relations(
+        ["0", "a", "b", "c", "1"],
+        [("0", "a"), ("0", "b"), ("0", "c"), ("a", "1"), ("b", "1"), ("c", "1")],
+    )
+
+
+@pytest.fixture
 def divisors12():
     return latmat.divisor_poset([1, 2, 3, 4, 6, 12])
 

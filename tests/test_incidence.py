@@ -119,17 +119,30 @@ def test_convolutions_match_double_sum_oracle(divisors12, diamond):
             assert up.entry(w) == pytest.approx(want, abs=1e-12, rel=1e-12)
 
 
-def test_up_convolution_equals_down_on_dual(divisors12):
-    f = PosetFunction.identity(divisors12)
-    s = divisors12.subset([2, 3])
-    up = up_convolution(f, 1.0, s)
+def test_up_convolution_equals_down_on_dual(divisors12, m3):
+    m3_values = {"0": 1.0, "a": 2.0, "b": 3.0, "c": 5.0, "1": 7.0}
+    cases = [
+        (divisors12, {x: float(x) for x in divisors12.elements}, [2, 3]),
+        (m3, m3_values, ["a", "b"]),
+        (m3, m3_values, ["0"]),
+    ]
+    for p, values, members in cases:
+        up = up_convolution(PosetFunction.from_mapping(p, values), 1.0, p.subset(members))
 
-    d = divisors12.dual()
-    fd = PosetFunction.identity(d)
-    sd = d.subset([2, 3])
-    down = down_convolution(fd, 1.0, sd)
-    for w in up.domain.labels:
-        assert up.entry(w) == down.entry(w)
+        d = p.dual()
+        down = down_convolution(PosetFunction.from_mapping(d, values), 1.0, d.subset(members))
+        assert set(up.domain.labels) == set(down.domain.labels)
+        for w in up.domain.labels:
+            assert up.entry(w) == down.entry(w)
+
+
+def test_convolutions_reject_function_on_another_poset():
+    f = PosetFunction.identity(latmat.divisor_poset(latmat.divisors_of(12)))
+    s = latmat.divisor_poset([1, 2, 4, 8, 16, 32]).subset([2])
+    with pytest.raises(ValueError, match="different posets"):
+        down_convolution(f, 1.0, s)
+    with pytest.raises(ValueError, match="different posets"):
+        up_convolution(f, 1.0, s)
 
 
 def test_down_convolution_requires_bottom():
@@ -209,3 +222,10 @@ def test_semimultiplicative_requires_lattice():
     f = PosetFunction.identity(p)
     with pytest.raises(latmat.LatticeError):
         latmat.is_semimultiplicative(f)
+    # a mismatch at (2, 3) comes before the missing join of 2 and 5 in pair
+    # order; the missing join must still raise rather than return False
+    p = latmat.divisor_poset([1, 2, 3, 4, 5, 6, 12])
+    vals = {x: float(x) for x in p.elements}
+    vals[6] = 99.0
+    with pytest.raises(latmat.LatticeError, match="no common upper bound of 2 and 5"):
+        latmat.is_semimultiplicative(PosetFunction.from_mapping(p, vals))

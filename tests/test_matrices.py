@@ -326,22 +326,25 @@ def test_factorizations_on_random_divisor_lattices():
         done += 1
 
 
-def test_diagonal_factorizations_on_closure_lattices():
-    # gcd/lcm closures of random sets: the diagonal factorizations carry no
-    # sign conditions, so they must always reconstruct
+def test_diagonal_factorizations_on_closure_lattices(m3):
+    # gcd/lcm closures of random sets, then M3 (not distributive): the
+    # diagonal factorizations carry no sign conditions, so they must always
+    # reconstruct
     rng = np.random.default_rng(77)
-    done = 0
-    while done < 10:
+    cases = []
+    while len(cases) < 10:
         base = rng.choice(np.arange(2, 61), size=int(rng.integers(2, 6)), replace=False)
         p = latmat.divisor_lattice(int(v) for v in base)
         if len(p) > 48:
             continue
-        s, f = identity_subset(p)
+        cases.append(identity_subset(p))
+    m3_f = PosetFunction.from_mapping(m3, {"0": 1.0, "a": 2.0, "b": 3.0, "c": 5.0, "1": 7.0})
+    cases.append((m3.subset(m3.elements), m3_f))
+    for s, f in cases:
         e, d = factor_meet_closed(s, f)
         assert matrices_close(e @ np.diag(d) @ e.T, meet_matrix(s, f))
         e, d = factor_join_closed(s, f)
         assert matrices_close(e.T @ np.diag(d) @ e, join_matrix(s, f))
-        done += 1
 
 
 # -- structure factorizations -------------------------------------------------------

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -228,6 +230,21 @@ def test_mobius_row_sums(divisors12, diamond):
         eye = np.eye(len(p), dtype=np.int64)
         assert np.array_equal(zeta @ mu, eye)
         assert np.array_equal(mu @ zeta, eye)
+
+
+def test_cached_tables_keep_no_reference_cycle():
+    # with the cyclic collector off, a poset whose Mobius and lattice tables
+    # are cached must still be freed as soon as its last reference goes
+    gc.disable()
+    try:
+        p = latmat.divisor_lattice(range(1, 9))
+        p.mobius()
+        assert p.is_lattice()
+        r = weakref.ref(p)
+        del p
+        assert r() is None
+    finally:
+        gc.enable()
 
 
 def test_interval(divisors12):
