@@ -7,7 +7,7 @@ and reproduces the extremal constants those bounds depend on by exhaustive
 search over unit-lower-triangular 0/1 matrices.
 """
 
-from ._kernels import backend_name, use_numba
+from ._kernels import backend_name
 from .bounds import (
     BoundReport,
     ConstantValue,

@@ -1,214 +1,150 @@
-"""Numerical kernels: cyclic Jacobi eigensolver and the triangular-mask scan.
+"""Numerical kernels: one Jacobi eigensolver over stacks of symmetric
+matrices, and the triangular-mask scan built on it.
 
-Each kernel has a numba @njit fast path and a vectorized pure-numpy fallback.
-The backend is picked per call from the LATMAT_BACKEND environment variable:
-"auto" (numba when importable, the default), "numba", or "numpy".  Both
-backends run the same rotation sequence, so results agree to roundoff.
+A single matrix is a stack of one; the K(n) scan solves 16384 Gram matrices
+per call.  The sweep follows the round-robin parallel ordering of Brent &
+Luk (1985): each step rotates n // 2 disjoint index pairs, so a step is a
+handful of numpy operations on the whole stack, and n - 1 steps (n for odd
+n) rotate every pair once.  Between steps the stack is reordered so that
+the next step's pairs are adjacent rows and columns, which the rotation
+updates in place.
 """
 
 from __future__ import annotations
 
-import math
-import os
+from functools import lru_cache
 
 import numpy as np
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        return wrap(args[0]) if args and callable(args[0]) else wrap
-
 
 JACOBI_TOL = 1e-12
 JACOBI_MAX_SWEEPS = 50
 _SCAN_BATCH = 1 << 14
 
 
-def use_numba() -> bool:
-    mode = os.environ.get("LATMAT_BACKEND", "auto").strip().lower()
-    if mode in ("", "auto"):
-        return HAS_NUMBA
-    if mode == "numba":
-        if not HAS_NUMBA:
-            raise RuntimeError("LATMAT_BACKEND=numba but numba is not importable")
-        return True
-    if mode == "numpy":
-        return False
-    raise ValueError(f"unknown LATMAT_BACKEND value {mode!r} (use auto, numba or numpy)")
+class SpectraError(ValueError):
+    """Bad eigensolver input or failed convergence."""
 
 
 def backend_name() -> str:
-    return "numba" if use_numba() else "numpy"
+    """Name of the kernel implementation; numpy is the only one."""
+    return "numpy"
 
 
-# -- single-matrix cyclic Jacobi --------------------------------------------
+# -- round-robin Jacobi over a stack -------------------------------------------
 
 
-def _jacobi_py(a: np.ndarray, tol: float, max_sweeps: int):
-    """Cyclic Jacobi on a symmetric matrix (numpy fallback).
+@lru_cache(maxsize=32)
+def _round_robin(n: int):
+    """One round-robin sweep over n indices, as a start order and moves.
 
-    Returns (eigenvalues ascending, sweeps used, off-diagonal residual).
-    The caller owns symmetry/squareness checks; `a` is not modified.
+    Each step orders the indices so that the pairs it rotates sit at
+    positions (2k, 2k + 1), and for odd n the index that sits the step out
+    comes last.  Returns (first, moves): `first` is step 0's order, and
+    moves[r] reorders step r's order into the next step's (the last move
+    leads back to step 0).  Circle method: index 0 stays put while the
+    others move one place per step, and the k-th from the front meets the
+    k-th from the back; for odd n a dummy joins the circle.
     """
-    a = np.array(a, dtype=np.float64)
-    n = a.shape[0]
-    fro = math.sqrt(float((a * a).sum()))
-    thresh = tol * fro
-    # off-diagonal mass summed directly; a total-minus-diagonal formula would
-    # cancel catastrophically near convergence
-    offmask = ~np.eye(n, dtype=bool)
-
-    def offnorm():
-        return math.sqrt(float((a[offmask] ** 2).sum()))
-
-    off = offnorm()
-    sweeps = 0
-    while off > thresh and sweeps < max_sweeps:
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                root = math.sqrt(1.0 + tau * tau)
-                t = 1.0 / (tau + root) if tau >= 0.0 else 1.0 / (tau - root)
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                rp = a[p, :].copy()
-                rq = a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                cp = a[:, p].copy()
-                cq = a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-        sweeps += 1
-        off = offnorm()
-    return np.sort(np.diag(a).copy()), sweeps, off
+    circle = list(range(n)) + ([None] if n % 2 else [])
+    orders = []
+    for _ in range(len(circle) - 1):
+        half = len(circle) // 2
+        pairs = sorted(zip(circle[:half], circle[::-1]), key=lambda pq: None in pq)
+        orders.append([i for pq in pairs for i in pq if i is not None])
+        circle = circle[:1] + circle[-1:] + circle[1:-1]
+    orders = np.array(orders, dtype=np.intp).reshape(len(orders), n)
+    moves = np.take_along_axis(np.argsort(orders, axis=1), np.roll(orders, -1, axis=0), axis=1)
+    first = orders[0] if len(orders) else np.arange(n)
+    for arr in (first, moves):
+        arr.flags.writeable = False  # shared by every caller through the cache
+    return first, moves
 
 
-@njit(cache=True)
-def _offnorm_nb(a):  # pragma: no cover - exercised via dispatch
-    n = a.shape[0]
-    off2 = 0.0
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                off2 += a[i, j] * a[i, j]
-    return math.sqrt(off2)
+def _jacobi_stack(a: np.ndarray, tol: float):
+    """Cyclic Jacobi on each matrix of a symmetric stack, shape (B, n, n).
 
-
-@njit(cache=True)
-def _jacobi_nb(a, tol, max_sweeps):  # pragma: no cover - exercised via dispatch
-    n = a.shape[0]
-    total = 0.0
-    for i in range(n):
-        for j in range(n):
-            total += a[i, j] * a[i, j]
-    thresh = tol * math.sqrt(total)
-    off = _offnorm_nb(a)
-    sweeps = 0
-    while off > thresh and sweeps < max_sweeps:
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                root = math.sqrt(1.0 + tau * tau)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + root)
-                else:
-                    t = 1.0 / (tau - root)
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                for k in range(n):
-                    rp = a[p, k]
-                    rq = a[q, k]
-                    a[p, k] = c * rp - s * rq
-                    a[q, k] = s * rp + c * rq
-                for k in range(n):
-                    cp = a[k, p]
-                    cq = a[k, q]
-                    a[k, p] = c * cp - s * cq
-                    a[k, q] = s * cp + c * cq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-        sweeps += 1
-        off = _offnorm_nb(a)
-    w = np.empty(n)
-    for i in range(n):
-        w[i] = a[i, i]
-    return np.sort(w), sweeps, off
-
-
-def jacobi_eigenvalues(a: np.ndarray, tol: float = JACOBI_TOL, max_sweeps: int = JACOBI_MAX_SWEEPS):
-    """Backend-dispatched Jacobi; returns (eigenvalues, sweeps, residual)."""
-    if use_numba():
-        w, sweeps, off = _jacobi_nb(np.array(a, dtype=np.float64), tol, max_sweeps)
-        return w, int(sweeps), float(off)
-    return _jacobi_py(a, tol, max_sweeps)
-
-
-# -- batched Jacobi (numpy fallback for the mask scan) -----------------------
-
-
-def _jacobi_batch_np(a: np.ndarray, tol: float, max_sweeps: int):
-    """Cyclic Jacobi over a stack of symmetric matrices, shape (B, n, n).
-
-    Rotations are applied to the whole batch in the same cyclic order as the
-    scalar kernels; matrices that have already converged only see identity
-    rotations.  Modifies `a` in place.
+    A matrix stops when its off-diagonal Frobenius norm is at most
+    tol * its Frobenius norm, or after JACOBI_MAX_SWEEPS sweeps, and then
+    leaves the stack: later sweeps neither touch it nor spend time on it.
+    Returns (eigenvalues ascending, sweeps, off-diagonal residuals,
+    unconverged flags), one row or entry per matrix; `a` is not modified.
     """
-    n = a.shape[1]
-    fro = np.sqrt((a * a).sum(axis=(1, 2)))
+    cap = JACOBI_MAX_SWEEPS
+    count, n = a.shape[0], a.shape[-1]
+    first, moves = _round_robin(n)
+    half = n // 2
+    p, q = np.arange(0, 2 * half, 2), np.arange(1, 2 * half, 2)
+    ps, qs = slice(0, 2 * half, 2), slice(1, 2 * half, 2)  # p and q, indexing views
+    diag = np.arange(n)
+    # batch last, so every gather moves runs of B contiguous numbers; rows and
+    # columns in step 0's order
+    work = np.asarray(a, dtype=np.float64).transpose(1, 2, 0)[first[:, None], first]
+
+    # Frobenius norms of each matrix and of its off-diagonal part, summed row
+    # by row, in the same order for every B > 1, so a scan's stopping
+    # decisions do not depend on how its masks are batched.  The off-diagonal
+    # mass is summed directly: total minus diagonal would cancel
+    # catastrophically near convergence.
+    def norms(x):
+        sq = x * x
+        total = np.sqrt(sq.sum(axis=0).sum(axis=0))
+        sq[diag, diag] = 0.0
+        return total, np.sqrt(sq.sum(axis=0).sum(axis=0))
+
+    with np.errstate(over="ignore"):  # an infinite norm stops at once
+        fro, off = norms(work)
     thresh = tol * fro
-    diag_idx = np.arange(n)
-    offmask = ~np.eye(n, dtype=bool)
-
-    def offnorm():
-        return np.sqrt(((a * offmask) ** 2).sum(axis=(1, 2)))
-
-    off = offnorm()
-    sweeps = 0
-    while sweeps < max_sweeps and bool((off > thresh).any()):
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[:, p, q]
-                idx = np.nonzero(apq != 0.0)[0]
-                if idx.size == 0:
-                    continue
-                with np.errstate(over="ignore"):
-                    tau = (a[idx, q, q] - a[idx, p, p]) / (2.0 * apq[idx])
-                    root = np.sqrt(1.0 + tau * tau)
+    eigs = np.empty((count, n))
+    sweeps = np.zeros(count, dtype=np.int64)
+    live = np.arange(count)
+    for sweep in range(cap + 1):
+        busy = (off[live] > thresh[live]) & (sweep < cap)
+        eigs[live[~busy]] = work[diag, diag][:, ~busy].T
+        sweeps[live[~busy]] = sweep
+        live, work = live[busy], work[:, :, busy]
+        if not live.size:
+            break
+        for move in moves:
+            apq = work[p, q]
+            skip = apq == 0.0
+            with np.errstate(over="ignore"):
+                tau = (work[q, q] - work[p, p]) / (2.0 * np.where(skip, 1.0, apq))
                 # t = sign(tau) / (|tau| + root); a huge tau overflows root to
                 # inf, which correctly degrades the rotation to the identity
-                t = np.where(tau >= 0.0, 1.0, -1.0) / (np.abs(tau) + root)
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                rp = a[idx, p, :].copy()
-                rq = a[idx, q, :].copy()
-                a[idx, p, :] = c[:, None] * rp - s[:, None] * rq
-                a[idx, q, :] = s[:, None] * rp + c[:, None] * rq
-                cp = a[idx, :, p].copy()
-                cq = a[idx, :, q].copy()
-                a[idx, :, p] = c[:, None] * cp - s[:, None] * cq
-                a[idx, :, q] = s[:, None] * cp + c[:, None] * cq
-                a[idx, p, q] = 0.0
-                a[idx, q, p] = 0.0
-        sweeps += 1
-        off = offnorm()
-    return np.sort(a[:, diag_idx, diag_idx], axis=1), sweeps, off
+                t = np.where(tau >= 0.0, 1.0, -1.0) / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
+            t[skip] = 0.0
+            c = 1.0 / np.sqrt(1.0 + t * t)
+            s = t * c
+            # rows p and q, then columns p and q, rotated in place through views
+            for xp, xq, cr, sr in (
+                (work[ps], work[qs], c[:, None], s[:, None]),
+                (work[:, ps], work[:, qs], c, s),
+            ):
+                sxq = sr * xq
+                xq *= cr
+                xq += sr * xp
+                xp *= cr
+                xp -= sxq
+            del xp, xq, sxq  # else the views keep this stack alive beside the next
+            work[p, q] = 0.0
+            work[q, p] = 0.0
+            work = work[move[:, None], move]
+        off[live] = norms(work)[1]
+    return np.sort(eigs, axis=1), sweeps, off, off > thresh
+
+
+def jacobi_eigenvalues(a: np.ndarray, tol: float = JACOBI_TOL):
+    """Jacobi on one symmetric matrix; returns (eigenvalues, sweeps, residual).
+
+    Raises SpectraError if it has not converged after JACOBI_MAX_SWEEPS sweeps.
+    """
+    w, sweeps, off, stuck = _jacobi_stack(np.asarray(a, dtype=np.float64)[None], tol)
+    if stuck[0]:
+        raise SpectraError(
+            f"Jacobi iteration did not converge in {JACOBI_MAX_SWEEPS} sweeps "
+            f"(residual {off[0]:.3e})"
+        )
+    return w[0], int(sweeps[0]), float(off[0])
 
 
 # -- exhaustive scan over unit-lower-triangular 0/1 masks --------------------
@@ -235,82 +171,37 @@ def mask_to_matrix(n: int, mask: int) -> np.ndarray:
     return x
 
 
-@njit(cache=True)
-def _scan_range_nb(n, lo, hi, rows, cols, tol, max_sweeps):  # pragma: no cover
-    nb = rows.shape[0]
-    x = np.zeros((n, n))
-    a = np.zeros((n, n))
-    best_min = np.inf
-    best_min_mask = np.int64(0)
-    best_max = -np.inf
-    best_max_mask = np.int64(0)
-    for mask in range(lo, hi):
-        for i in range(n):
-            for j in range(n):
-                x[i, j] = 0.0
-            x[i, i] = 1.0
-        for k in range(nb):
-            if (mask >> k) & 1:
-                x[rows[k], cols[k]] = 1.0
-        for i in range(n):
-            for j in range(i + 1):
-                ssum = 0.0
-                kmax = j if j < i else i
-                for k in range(kmax + 1):
-                    ssum += x[i, k] * x[j, k]
-                a[i, j] = ssum
-                a[j, i] = ssum
-        w, _, _ = _jacobi_nb(a, tol, max_sweeps)
-        if w[0] < best_min:
-            best_min = w[0]
-            best_min_mask = np.int64(mask)
-        if w[n - 1] > best_max:
-            best_max = w[n - 1]
-            best_max_mask = np.int64(mask)
-    return best_min, best_min_mask, best_max, best_max_mask
-
-
-def _scan_range_np(n, lo, hi, rows, cols, tol, max_sweeps, batch=_SCAN_BATCH):
-    best_min = np.inf
-    best_min_mask = 0
-    best_max = -np.inf
-    best_max_mask = 0
-    nb = rows.shape[0]
-    shifts = np.arange(nb, dtype=np.int64)
-    diag = np.arange(n)
-    for start in range(lo, hi, batch):
-        stop = min(start + batch, hi)
-        masks = np.arange(start, stop, dtype=np.int64)
-        bits = ((masks[:, None] >> shifts[None, :]) & 1).astype(np.float64)
-        x = np.zeros((masks.shape[0], n, n))
-        x[:, diag, diag] = 1.0
-        x[:, rows, cols] = bits
-        gram = x @ x.transpose(0, 2, 1)
-        eigs, _, _ = _jacobi_batch_np(gram, tol, max_sweeps)
-        vmin = eigs[:, 0]
-        vmax = eigs[:, -1]
-        i = int(np.argmin(vmin))
-        if vmin[i] < best_min:
-            best_min = float(vmin[i])
-            best_min_mask = int(masks[i])
-        j = int(np.argmax(vmax))
-        if vmax[j] > best_max:
-            best_max = float(vmax[j])
-            best_max_mask = int(masks[j])
-    return best_min, best_min_mask, best_max, best_max_mask
-
-
 def scan_mask_range(n: int, lo: int, hi: int):
     """Scan Gram spectra of all masks in [lo, hi); track both extrema.
 
     Returns (min_value, min_mask, max_value, max_mask, scanned).  Ties keep
     the smallest mask because enumeration ascends and updates are strict.
+    Raises SpectraError, naming the first such mask, if a Gram matrix has
+    not converged after JACOBI_MAX_SWEEPS sweeps.
     """
     rows, cols = tri_positions(n)
-    if use_numba():
-        bm, bmm, bx, bxm = _scan_range_nb(
-            n, lo, hi, rows, cols, JACOBI_TOL, JACOBI_MAX_SWEEPS
-        )
-        return float(bm), int(bmm), float(bx), int(bxm), hi - lo
-    bm, bmm, bx, bxm = _scan_range_np(n, lo, hi, rows, cols, JACOBI_TOL, JACOBI_MAX_SWEEPS)
-    return bm, bmm, bx, bxm, hi - lo
+    shifts = np.arange(rows.shape[0], dtype=np.int64)
+    diag = np.arange(n)
+    best_min, best_min_mask = np.inf, 0
+    best_max, best_max_mask = -np.inf, 0
+    for start in range(lo, hi, _SCAN_BATCH):
+        masks = np.arange(start, min(start + _SCAN_BATCH, hi), dtype=np.int64)
+        x = np.zeros((masks.shape[0], n, n))
+        x[:, diag, diag] = 1.0
+        x[:, rows, cols] = (masks[:, None] >> shifts[None, :]) & 1
+        gram = x @ x.transpose(0, 2, 1)
+        del x  # peak memory: one stack outside the solver
+        eigs, _, off, stuck = _jacobi_stack(gram, JACOBI_TOL)
+        if stuck.any():
+            k = int(np.argmax(stuck))
+            raise SpectraError(
+                f"Jacobi iteration did not converge in {JACOBI_MAX_SWEEPS} sweeps "
+                f"on the Gram matrix of K({n}) mask {int(masks[k])} (residual {off[k]:.3e})"
+            )
+        i = int(np.argmin(eigs[:, 0]))
+        if eigs[i, 0] < best_min:
+            best_min, best_min_mask = float(eigs[i, 0]), int(masks[i])
+        j = int(np.argmax(eigs[:, -1]))
+        if eigs[j, -1] > best_max:
+            best_max, best_max_mask = float(eigs[j, -1]), int(masks[j])
+    return best_min, best_min_mask, best_max, best_max_mask, hi - lo

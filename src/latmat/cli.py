@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 2 validation or hypothesis errors (the message names
-the violated condition), 1 internal errors.
+the violated condition), 1 internal errors, including an eigensolve that did
+not converge.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import bounds, constants, matrices, selftest
-from ._kernels import backend_name
+from ._kernels import SpectraError, backend_name
 from .incidence import PosetFunction, load_function
 from .matrices import CombinedSpec, combined_matrix, format_matrix, matrices_close
 from .poset import Poset, chain_poset, divisor_poset, load_poset
@@ -222,6 +223,8 @@ def _cmd_bounds(args) -> int:
     for name, fn in (("meet", bounds.lower_bound_meet), ("join", bounds.lower_bound_join)):
         try:
             report = fn(spec, c)
+        except SpectraError:
+            raise
         except (bounds.HypothesisError, ValueError) as exc:
             sys.stdout.write(f"{name}-side: not applicable: {exc}\n")
             continue
@@ -336,6 +339,9 @@ def run(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _HANDLERS[args.command](args)
+    except SpectraError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

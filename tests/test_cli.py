@@ -107,6 +107,17 @@ def test_bounds_inapplicable_exits_2(capsys):
     assert "not applicable" in out
 
 
+def test_bounds_nonconvergence_exits_1(monkeypatch, capsys):
+    # an eigensolve that does not converge is an internal error, not an
+    # inapplicable bound
+    monkeypatch.setattr(latmat._kernels, "JACOBI_MAX_SWEEPS", 1)
+    code = run(["bounds", "--poset", "chain:5", "--func", "N", "--exp", "1,0,0,0", "--c", "thm52"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "not applicable" not in captured.out
+    assert "did not converge" in captured.err
+
+
 def test_bounds_with_closed_form_constant(capsys):
     assert run(["bounds", "--poset", "chain:4", "--func", "N", "--exp", "1,0,0,0", "--c", "thm53"]) == 0
     out = capsys.readouterr().out

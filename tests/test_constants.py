@@ -64,7 +64,7 @@ def test_k2_masks():
 
 
 def test_search_small_matches_bruteforce():
-    for n in (2, 3, 4):
+    for n in (2, 3, 4, 5):
         want_min, want_min_bits, want_max, want_max_bits = brute_force_extrema(n)
         rmin, rmax = latmat.full_scan(n)
         assert rmin.value == pytest.approx(want_min, abs=1e-10)

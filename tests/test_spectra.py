@@ -129,20 +129,3 @@ def test_determinants():
     assert latmat.det_symmetric(sym) == pytest.approx(np.linalg.det(sym), rel=1e-9)
     assert latmat.determinant(np.zeros((2, 2))) == 0.0
 
-
-def test_backends_agree(monkeypatch):
-    rng = np.random.default_rng(21)
-    m = rng.normal(size=(8, 8))
-    m = m + m.T
-    monkeypatch.setenv("LATMAT_BACKEND", "numpy")
-    a = eigen_symmetric(m).eigenvalues
-    if latmat._kernels.HAS_NUMBA:
-        monkeypatch.setenv("LATMAT_BACKEND", "numba")
-        b = eigen_symmetric(m).eigenvalues
-        assert np.abs(a - b).max() <= 1e-12 * max(1.0, np.abs(a).max())
-
-
-def test_backend_env_validation(monkeypatch):
-    monkeypatch.setenv("LATMAT_BACKEND", "sideways")
-    with pytest.raises(ValueError, match="LATMAT_BACKEND"):
-        latmat.use_numba()
