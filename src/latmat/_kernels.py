@@ -79,6 +79,13 @@ def _jacobi_stack(a: np.ndarray, tol: float):
     # batch last, so every gather moves runs of B contiguous numbers; rows and
     # columns in step 0's order
     work = np.asarray(a, dtype=np.float64).transpose(1, 2, 0)[first[:, None], first]
+    # Each matrix is scaled by the power of two that puts its largest entry in
+    # [1, 2), so the squares summed into its norms neither overflow nor all
+    # underflow.  The scaling is exact, and so is undoing it on the
+    # eigenvalues and residuals; a rotation does not depend on it.
+    largest = np.maximum(work.max(axis=(0, 1), initial=0.0), -work.min(axis=(0, 1), initial=0.0))
+    shift = np.frexp(largest)[1] - 1
+    np.ldexp(work, -shift, out=work)
 
     # Frobenius norms of each matrix and of its off-diagonal part, summed row
     # by row, in the same order for every B > 1, so a scan's stopping
@@ -130,7 +137,7 @@ def _jacobi_stack(a: np.ndarray, tol: float):
             work[q, p] = 0.0
             work = work[move[:, None], move]
         off[live] = norms(work)[1]
-    return np.sort(eigs, axis=1), sweeps, off, off > thresh
+    return np.ldexp(np.sort(eigs, axis=1), shift[:, None]), sweeps, np.ldexp(off, shift), off > thresh
 
 
 def jacobi_eigenvalues(a: np.ndarray, tol: float = JACOBI_TOL):

@@ -26,18 +26,18 @@ from .incidence import (
     PosetFunction,
     down_convolution,
     is_semimultiplicative,
+    powers_by_value,
     real_power,
     up_convolution,
 )
 from .matrices import (
     CombinedSpec,
     FactorizationError,
-    combined_matrix,
     factor_join_closed,
     factor_meet_closed,
+    pair_ratios,
 )
-from .poset import divisor_lattice, divisor_poset, divisors_of
-from .spectra import eigen_symmetric
+from .poset import LatticeError, divisor_lattice, divisor_poset, divisors_of
 
 REPORT_TOL = 1e-9
 CONDITION_TOL = 1e-12
@@ -194,9 +194,13 @@ _CLOSURE = {"down": "order ideal", "up": "order filter"}
 
 def _lower_bound(spec: CombinedSpec, c_value, side, convolution, a, b) -> BoundReport:
     _require_symmetric_case(spec)
-    _require_nonzero_semimultiplicative(spec)
+    spec.validate()
     s = spec.subset
-    conv = convolution(spec.f, a - b, s)
+    try:  # the lattice the bound needs: meets, joins, and a bottom or a top
+        _require_nonzero_semimultiplicative(spec)
+        conv = convolution(spec.f, a - b, s)
+    except LatticeError as exc:
+        raise HypothesisError(str(exc)) from None
     for label, value in zip(conv.domain.labels, conv.values):
         if value <= 0.0:
             raise HypothesisError(
@@ -207,7 +211,7 @@ def _lower_bound(spec: CombinedSpec, c_value, side, convolution, a, b) -> BoundR
     min_conv = float(conv.values[: len(s)].min())
     min_fpow = min(real_power(spec.f.value_at(i) ** 2, b - spec.gamma) for i in s.indices)
     bound = c_value.value * min_conv * min_fpow
-    true_kappa = float(np.abs(eigen_symmetric(combined_matrix(spec)).eigenvalues).min())
+    true_kappa = float(np.abs(spec.spectrum.eigenvalues).min())
     return BoundReport(
         side, bound, c_value, min_conv, min_fpow, true_kappa, _holds(bound, true_kappa)
     )
@@ -218,24 +222,18 @@ def _check_ratio_condition(spec: CombinedSpec, exponent: float) -> None:
     if exponent == 0.0:
         return
     s = spec.subset
-    p = s.parent
-    f = spec.f
-    for a, i in enumerate(s.indices):
-        for j in s.indices[: a + 1]:
-            denom = f.value_at(i) * f.value_at(j)
-            if denom == 0.0:
-                raise HypothesisError(
-                    f"the region condition is undefined: f vanishes at "
-                    f"{p.label_of(i)!r} or {p.label_of(j)!r}"
-                )
-            ratio = abs(
-                f.value_at(p._meet_index(i, j)) * f.value_at(p._join_index(i, j)) / denom
-            )
-            if real_power(ratio, exponent) > 1.0 + CONDITION_TOL:
-                raise HypothesisError(
-                    "the region condition |f(meet)f(join)/(f(x_i)f(x_j))|^e <= 1 "
-                    f"fails for the pair ({p.label_of(i)!r}, {p.label_of(j)!r})"
-                )
+    ratio, undefined = pair_ratios(s, spec.f)
+    for a, b in np.argwhere(np.tril(undefined))[:1]:
+        raise HypothesisError(
+            f"the region condition is undefined: f vanishes at "
+            f"{s.labels[a]!r} or {s.labels[b]!r}"
+        )
+    powered = powers_by_value(np.abs(ratio), lambda v: real_power(v, exponent))
+    for a, b in np.argwhere(np.tril(powered > 1.0 + CONDITION_TOL))[:1]:
+        raise HypothesisError(
+            "the region condition |f(meet)f(join)/(f(x_i)f(x_j))|^e <= 1 "
+            f"fails for the pair ({s.labels[a]!r}, {s.labels[b]!r})"
+        )
 
 
 def _finish_region(spec: CombinedSpec, side, c_value, d, fpow_exponent) -> RegionReport:
@@ -249,7 +247,7 @@ def _finish_region(spec: CombinedSpec, side, c_value, d, fpow_exponent) -> Regio
         center = real_power(f.value_at(i), diag_exp)
         radius = h - real_power(abs(f.value_at(i)), diag_exp)
         discs.append((center, radius))
-    eigs = eigen_symmetric(combined_matrix(spec)).eigenvalues
+    eigs = spec.spectrum.eigenvalues
     contained = all(
         any(abs(lam - c) - r <= REPORT_TOL * max(1.0, abs(lam)) for c, r in discs)
         for lam in eigs

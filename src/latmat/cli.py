@@ -223,9 +223,7 @@ def _cmd_bounds(args) -> int:
     for name, fn in (("meet", bounds.lower_bound_meet), ("join", bounds.lower_bound_join)):
         try:
             report = fn(spec, c)
-        except SpectraError:
-            raise
-        except (bounds.HypothesisError, ValueError) as exc:
+        except bounds.HypothesisError as exc:
             sys.stdout.write(f"{name}-side: not applicable: {exc}\n")
             continue
         sys.stdout.write(report.render())

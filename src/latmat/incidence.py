@@ -37,6 +37,17 @@ def real_power(base: float, exponent: float) -> float:
     return float(base**exponent)
 
 
+def powers_by_value(values: np.ndarray, power) -> np.ndarray:
+    """power(v) for every entry v of values, called once per distinct value
+    and in order of first appearance, so the entry that raises is the first
+    such one in row-major order.  Float results come back as a float array,
+    others (Fractions) as an object array."""
+    distinct, first, where = np.unique(values, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    raised = np.array([power(v) for v in distinct[order].tolist()])
+    return raised[np.argsort(order)][where].reshape(np.shape(values))
+
+
 class PosetFunction:
     """A map from the elements of a poset to real values."""
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -18,10 +19,12 @@ from .incidence import (
     PosetFunction,
     PowerDomainError,
     down_convolution,
+    powers_by_value,
     real_power,
     up_convolution,
 )
 from .poset import ElementSubset
+from .spectra import Spectrum, eigen_symmetric
 
 MATRIX_EQ_TOL = 1e-10
 
@@ -46,14 +49,13 @@ def matrices_close(a, b, rel: float = MATRIX_EQ_TOL) -> bool:
     return float(np.abs(a - b).max()) <= rel * scale
 
 
-def _exact_power(base: Fraction, exponent: int) -> Fraction:
+def _exact_power(base: int, exponent: int):
+    """base**exponent exactly: an int, or a Fraction for a negative exponent."""
+    if exponent >= 0:
+        return base**exponent  # 0**0 = 1
     if base == 0:
-        if exponent == 0:
-            return Fraction(1)
-        if exponent > 0:
-            return Fraction(0)
         raise PowerDomainError("zero base with a negative exponent")
-    return base**exponent
+    return Fraction(1, base**-exponent)
 
 
 def _all_integral(*exponents) -> bool:
@@ -83,98 +85,67 @@ class CombinedSpec:
         s = self.subset
         if f.parent is not s.parent:
             raise ValueError("function and subset live on different posets")
-        if (self.gamma != 0.0 or self.delta != 0.0) and any(
-            f.value_at(i) == 0.0 for i in s.indices
-        ):
+        if (self.gamma != 0.0 or self.delta != 0.0) and np.any(f.values[list(s.indices)] == 0.0):
             raise ExistenceError(
                 "f vanishes on a member of S, which requires gamma = delta = 0"
             )
-        p = s.parent
-        for exponent, name, bound, index in (
-            (self.alpha, "alpha", "meet", p._meet_index),
-            (self.beta, "beta", "join", p._join_index),
-        ):
+        for exponent, name, bound in ((self.alpha, "alpha", "meet"), (self.beta, "beta", "join")):
             if exponent >= 0.0:
                 continue
-            for a, i in enumerate(s.indices):
-                for j in s.indices[: a + 1]:
-                    if f.value_at(index(i, j)) == 0.0:
-                        raise ExistenceError(
-                            f"f vanishes at the {bound} of {p.label_of(i)!r} and "
-                            f"{p.label_of(j)!r}, which requires {name} >= 0"
-                        )
+            vanishing = f.values[s.pair_indices(bound)] == 0.0
+            for a, b in np.argwhere(np.tril(vanishing))[:1]:
+                raise ExistenceError(
+                    f"f vanishes at the {bound} of {s.labels[a]!r} and "
+                    f"{s.labels[b]!r}, which requires {name} >= 0"
+                )
 
     @property
     def is_symmetric_case(self) -> bool:
         return self.gamma == self.delta
 
-
-def _pair_entry_float(spec: CombinedSpec, i: int, j: int) -> float:
-    p = spec.subset.parent
-    f = spec.f
-    val = 1.0
-    if spec.alpha != 0.0:
-        val *= real_power(f.value_at(p._meet_index(i, j)), spec.alpha)
-    if spec.beta != 0.0:
-        val *= real_power(f.value_at(p._join_index(i, j)), spec.beta)
-    if spec.gamma != 0.0:
-        d = real_power(f.value_at(i), spec.gamma)
-        if d == 0.0:
-            raise PowerDomainError("division by a vanishing f power")
-        val /= d
-    if spec.delta != 0.0:
-        d = real_power(f.value_at(j), spec.delta)
-        if d == 0.0:
-            raise PowerDomainError("division by a vanishing f power")
-        val /= d
-    return val
-
-
-def _pair_entry_exact(spec: CombinedSpec, i: int, j: int) -> Fraction:
-    p = spec.subset.parent
-    f = spec.f
-    val = Fraction(1)
-    if spec.alpha != 0.0:
-        val *= _exact_power(
-            Fraction(int(round(f.value_at(p._meet_index(i, j))))), int(spec.alpha)
-        )
-    if spec.beta != 0.0:
-        val *= _exact_power(
-            Fraction(int(round(f.value_at(p._join_index(i, j))))), int(spec.beta)
-        )
-    if spec.gamma != 0.0:
-        d = _exact_power(Fraction(int(round(f.value_at(i)))), int(spec.gamma))
-        if d == 0:
-            raise PowerDomainError("division by a vanishing f power")
-        val /= d
-    if spec.delta != 0.0:
-        d = _exact_power(Fraction(int(round(f.value_at(j)))), int(spec.delta))
-        if d == 0:
-            raise PowerDomainError("division by a vanishing f power")
-        val /= d
-    return val
+    @cached_property
+    def spectrum(self) -> Spectrum:
+        """Spectrum of the combined matrix, solved once per spec (all its
+        inputs are immutable); the eigenvalue array is read-only, since every
+        caller shares it."""
+        spectrum = eigen_symmetric(combined_matrix(self))
+        spectrum.eigenvalues.flags.writeable = False
+        return spectrum
 
 
 def combined_matrix(spec: CombinedSpec) -> np.ndarray:
-    """Build the combined meet-and-join matrix for the given spec."""
+    """Build the combined meet-and-join matrix for the given spec.
+
+    Each factor is a power of f, taken once per distinct value and gathered
+    over the member pairs' meets, joins or members; with gamma = delta the
+    upper triangle is mirrored, so the matrix is exactly symmetric.
+    """
     spec.validate()
-    s = spec.subset
+    s, f = spec.subset, spec.f
     n = len(s)
-    out = np.zeros((n, n))
-    exact = spec.f.is_integer_valued and _all_integral(
-        spec.alpha, spec.beta, spec.gamma, spec.delta
-    )
-    entry = _pair_entry_exact if exact else _pair_entry_float
+    exact = f.is_integer_valued and _all_integral(spec.alpha, spec.beta, spec.gamma, spec.delta)
+
+    def power(values, exponent):
+        if exact:
+            return powers_by_value(values, lambda v: _exact_power(int(round(v)), int(exponent)))
+        return powers_by_value(values, lambda v: real_power(v, exponent))
+
+    out = np.ones((n, n), dtype=object if exact else np.float64)
+    members = f.values[list(s.indices)]
+    with np.errstate(over="ignore", invalid="ignore"):  # as Python floats do
+        for exponent, bound in ((spec.alpha, "meet"), (spec.beta, "join")):
+            if exponent != 0.0:
+                out = out * power(f.values[s.pair_indices(bound)], exponent)
+        for exponent, axis in ((spec.gamma, np.s_[:, None]), (spec.delta, np.s_[None, :])):
+            if exponent != 0.0:
+                d = power(members, exponent)
+                if (d == 0).any():
+                    raise PowerDomainError("division by a vanishing f power")
+                out = out / d[axis]
+    out = out.astype(np.float64)
     if spec.is_symmetric_case:
-        for a in range(n):
-            for b in range(a, n):
-                v = float(entry(spec, s.indices[a], s.indices[b]))
-                out[a, b] = v
-                out[b, a] = v
-    else:
-        for a in range(n):
-            for b in range(n):
-                out[a, b] = float(entry(spec, s.indices[a], s.indices[b]))
+        lower = np.tril_indices(n, -1)
+        out[lower] = out.T[lower]
     return out
 
 
@@ -188,33 +159,35 @@ def join_matrix(s: ElementSubset, f: PosetFunction, alpha: float = 1.0) -> np.nd
     return combined_matrix(CombinedSpec(0.0, float(alpha), 0.0, 0.0, s, f))
 
 
+def pair_ratios(s: ElementSubset, f: PosetFunction):
+    """f(x_a meet x_b) f(x_a join x_b) / (f(x_a) f(x_b)) over the member pairs,
+    and where its denominator vanishes (the ratio there is inf or nan)."""
+    fs = f.values[list(s.indices)]
+    denom = np.outer(fs, fs)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        ratio = f.values[s.pair_indices("meet")] * f.values[s.pair_indices("join")] / denom
+    return ratio, denom == 0.0
+
+
 def g_matrix(s: ElementSubset, f: PosetFunction, exponent: float) -> np.ndarray:
     """Comparability-masked power-ratio matrix used by the structure theorems.
 
     Entry is 1 for comparable pairs, else
     (f(meet) f(join) / (f(x_i) f(x_j)))**exponent.
     """
-    p = s.parent
     n = len(s)
     out = np.ones((n, n))
     if exponent == 0.0:
         return out
-    for a in range(n):
-        for b in range(a + 1, n):
-            i, j = s.indices[a], s.indices[b]
-            if p._leq[i, j] or p._leq[j, i]:
-                continue
-            denom = f.value_at(i) * f.value_at(j)
-            if denom == 0.0:
-                raise PowerDomainError(
-                    f"ratio undefined: f vanishes at {p.label_of(i)!r} or {p.label_of(j)!r}"
-                )
-            ratio = (
-                f.value_at(p._meet_index(i, j)) * f.value_at(p._join_index(i, j)) / denom
-            )
-            v = real_power(ratio, exponent)
-            out[a, b] = v
-            out[b, a] = v
+    idx = list(s.indices)
+    below = s.parent._leq[np.ix_(idx, idx)]
+    apart = ~(below | below.T)
+    ratio, undefined = pair_ratios(s, f)
+    for a, b in np.argwhere(apart & undefined)[:1]:
+        raise PowerDomainError(
+            f"ratio undefined: f vanishes at {s.labels[a]!r} or {s.labels[b]!r}"
+        )
+    out[apart] = powers_by_value(ratio[apart], lambda v: real_power(v, exponent))
     return out
 
 

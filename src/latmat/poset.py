@@ -194,12 +194,8 @@ class Poset:
     def _bound_values(self, values: np.ndarray):
         """values at the meet and at the join of every pair, as two N x N arrays;
         raises LatticeError at the first pair without a unique meet or join."""
-        (meets, meet_status), (joins, join_status) = self._meet_data, self._join_data
-        checks = ((meet_status, self._meet_index), (join_status[::-1, ::-1], self._join_index))
-        for status, lookup in checks:
-            for i, j in np.argwhere(status != _OK)[:1]:
-                lookup(i, j)  # raises, naming the pair
-        return values[meets], values[::-1][joins[::-1, ::-1]]
+        every = ElementSubset(self, range(len(self)), validate=False)
+        return values[every.pair_indices("meet")], values[every.pair_indices("join")]
 
     def meet(self, x, y):
         """Greatest lower bound of x and y; raises LatticeError if undefined."""
@@ -292,15 +288,13 @@ class ElementSubset:
         if len(set(self.indices)) != len(self.indices):
             raise PosetError("subset members must be distinct")
         if validate:
-            leq = parent._leq
-            for a, i in enumerate(self.indices):
-                for b in range(a):
-                    if leq[i, self.indices[b]]:
-                        raise PosetError(
-                            f"subset order violates the comparability convention: "
-                            f"{parent.label_of(i)!r} precedes {parent.label_of(self.indices[b])!r} "
-                            "in the order but follows it in the subset"
-                        )
+            idx = np.asarray(self.indices, dtype=np.intp)
+            for a, b in np.argwhere(np.tril(parent._leq[np.ix_(idx, idx)], -1))[:1]:
+                raise PosetError(
+                    f"subset order violates the comparability convention: "
+                    f"{parent.label_of(idx[a])!r} precedes {parent.label_of(idx[b])!r} "
+                    "in the order but follows it in the subset"
+                )
         self._member_set = frozenset(self.indices)
 
     def __len__(self) -> int:
@@ -316,19 +310,28 @@ class ElementSubset:
     def labels(self) -> tuple:
         return tuple(self.parent.label_of(i) for i in self.indices)
 
+    def pair_indices(self, bound: str) -> np.ndarray:
+        """Poset indices of the meets (bound "meet") or the joins ("join") of
+        the member pairs, as an |S| x |S| array: entry [a, b] belongs to
+        (x_a, x_b).  Raises LatticeError at the first pair in row-major order
+        without a unique meet or join."""
+        p = self.parent
+        idx = np.asarray(self.indices, dtype=np.intp)
+        if bound == "meet":
+            (table, status), rows, lookup = p._meet_data, idx, p._meet_index
+        else:  # the join table is in the numbering i -> N-1-i
+            (table, status), rows, lookup = p._join_data, len(p) - 1 - idx, p._join_index
+        pairs = np.ix_(rows, rows)
+        for a, b in np.argwhere(status[pairs] != _OK)[:1]:
+            lookup(idx[a], idx[b])  # raises, naming the pair
+        return table[pairs] if bound == "meet" else len(p) - 1 - table[pairs]
+
     def is_meet_closed(self) -> bool:
         """True iff the meet of every member pair is again a member."""
-        return self._closed_under(self.parent._meet_index)
+        return bool(np.isin(self.pair_indices("meet"), self.indices).all())
 
     def is_join_closed(self) -> bool:
-        return self._closed_under(self.parent._join_index)
-
-    def _closed_under(self, op) -> bool:
-        for a, i in enumerate(self.indices):
-            for j in self.indices[: a + 1]:
-                if op(i, j) not in self._member_set:
-                    return False
-        return True
+        return bool(np.isin(self.pair_indices("join"), self.indices).all())
 
     def order_ideal(self) -> "ElementSubset":
         """Downward closure of S, ordered with the members of S first.

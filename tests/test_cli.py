@@ -118,6 +118,19 @@ def test_bounds_nonconvergence_exits_1(monkeypatch, capsys):
     assert "did not converge" in captured.err
 
 
+def test_bounds_input_error_is_not_inapplicable(tmp_path, capsys):
+    # a matrix that does not exist (f vanishes at a meet, alpha < 0) is an
+    # input error; only a violated hypothesis is reported as not applicable
+    func = tmp_path / "f.txt"
+    func.write_text("1 0\n2 2\n3 3\n6 6\n")
+    code = run(["bounds", "--poset", "divisors:1,2,3,6", "--set", "2,3", "--func", str(func),
+                "--exp=-1,0,0,0", "--c", "y0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "not applicable" not in captured.out
+    assert "error: f vanishes at the meet of 3 and 2" in captured.err
+
+
 def test_bounds_with_closed_form_constant(capsys):
     assert run(["bounds", "--poset", "chain:4", "--func", "N", "--exp", "1,0,0,0", "--c", "thm53"]) == 0
     out = capsys.readouterr().out

@@ -51,6 +51,9 @@ def _stack_cases():
     big[:2, :2] = [[1e150, 1e-5], [1e-5, -1e150]]  # tau = -1e155 overflows tau**2
     big[2:, 2:] = 1e150
     yield big[None]
+    # a norm summed unscaled overflows (1e200) or underflows (1e-200) here
+    yield np.full((1, 2, 2), 1e200)
+    yield np.full((1, 2, 2), 1e-200)
 
 
 def test_batch_jacobi_matches_scalar():
@@ -67,7 +70,7 @@ def test_batch_jacobi_matches_scalar():
             assert np.array_equal(batch_eigs[k], w)
             assert k_sweeps == sweeps[k] and k_off == pytest.approx(off[k], rel=1e-12, abs=0)
             lapack = np.linalg.eigvalsh(mats[k])
-            scale = max(1.0, np.abs(lapack).max())
+            scale = np.abs(lapack).max()
             assert np.allclose(w, lapack, rtol=0, atol=1e-12 * scale)
             assert np.array_equal(mats[k], before[k])
 

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -130,6 +131,52 @@ def test_combined_asymmetric_case(div6):
             assert m[a, b] == pytest.approx(math.gcd(x, y) / x, rel=1e-14)
 
 
+def _pairwise_entry(x, y, alpha, beta, gamma, delta):
+    """gcd(x,y)^alpha lcm(x,y)^beta / (x^gamma y^delta), one pair at a time:
+    Fractions when every exponent is an integer, else Python float powers
+    multiplied and divided in the order meet, join, x, y."""
+    g, l = math.gcd(x, y), lcm(x, y)
+    if all(e == int(e) for e in (alpha, beta, gamma, delta)):
+        val = Fraction(g) ** int(alpha) * Fraction(l) ** int(beta)
+        return float(val / Fraction(x) ** int(gamma) / Fraction(y) ** int(delta))
+    val = 1.0
+    if alpha:
+        val *= float(g) ** alpha
+    if beta:
+        val *= float(l) ** beta
+    if gamma:
+        val /= float(x) ** gamma
+    if delta:
+        val /= float(y) ** delta
+    return val
+
+
+@pytest.mark.parametrize("m", [720, 2520])
+@pytest.mark.parametrize(
+    "exps",
+    [
+        (1, 0, 0, 0),
+        (0, 1, 0, 0),
+        (0.5, -0.5, 0, 0),
+        (-1, 1, 0, 0),
+        (1.5, -0.5, 0, 0),
+        (2, -1, 0.5, 0.5),
+        (1, 0, 1, 0),
+    ],
+)
+def test_combined_matches_pairwise_oracle(m, exps):
+    # bit for bit against a per-pair oracle; with gamma = delta the upper
+    # triangle is computed and mirrored, so the matrix is exactly symmetric
+    p = latmat.divisor_poset(latmat.divisors_of(m))
+    s, f = identity_subset(p)
+    got = combined_matrix(CombinedSpec(*map(float, exps), s, f))
+    xs = p.elements
+    want = np.array([[_pairwise_entry(x, y, *exps) for y in xs] for x in xs])
+    if exps[2] == exps[3]:
+        want = np.triu(want) + np.triu(want, 1).T
+    assert np.array_equal(got, want)
+
+
 def test_existence_clause_vanishing_on_s(div6):
     vals = {1: 0.0, 2: 2.0, 3: 3.0, 6: 6.0}
     f = PosetFunction.from_mapping(div6, vals)
@@ -142,7 +189,7 @@ def test_existence_clause_vanishing_meet(div6):
     vals = {1: 0.0, 2: 2.0, 3: 3.0, 6: 6.0}
     f = PosetFunction.from_mapping(div6, vals)
     spec = CombinedSpec(-1.0, 0.0, 0.0, 0.0, div6.subset([2, 3]), f)
-    with pytest.raises(ExistenceError, match="alpha >= 0"):
+    with pytest.raises(ExistenceError, match="at the meet of 3 and 2, which requires alpha >= 0"):
         combined_matrix(spec)
 
 
@@ -192,7 +239,7 @@ def test_g_matrix_comparable_entries_one(div6):
 
 def test_g_matrix_zero_value_error(div6):
     f = PosetFunction.from_mapping(div6, {1: 1.0, 2: 0.0, 3: 3.0, 6: 7.0})
-    with pytest.raises(latmat.PowerDomainError, match="vanishes"):
+    with pytest.raises(latmat.PowerDomainError, match="f vanishes at 2 or 3"):
         g_matrix(div6.subset(div6.elements), f, 1.0)
 
 

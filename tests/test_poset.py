@@ -83,7 +83,7 @@ def test_divisor_meet_join_match_gcd_lcm(divisors12):
 
 def test_meet_no_common_lower_bound():
     p = latmat.divisor_poset([2, 3])
-    with pytest.raises(LatticeError, match="no common lower bound"):
+    with pytest.raises(LatticeError, match="no common lower bound of 2 and 3"):
         p.meet(2, 3)
 
 
@@ -138,7 +138,7 @@ def test_linear_extension_invariant(divisors12):
 
 
 def test_subset_order_validation(divisors12):
-    with pytest.raises(PosetError, match="comparability convention"):
+    with pytest.raises(PosetError, match="comparability convention: 4 precedes 12 in the order"):
         latmat.ElementSubset(divisors12, [divisors12.index_of(12), divisors12.index_of(4)])
     # reorder=True sorts it out
     s = divisors12.subset([12, 4])
