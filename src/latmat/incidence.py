@@ -41,7 +41,7 @@ def powers_by_value(values: np.ndarray, power) -> np.ndarray:
     """power(v) for every entry v of values, called once per distinct value
     and in order of first appearance, so the entry that raises is the first
     such one in row-major order.  Float results come back as a float array,
-    others (Fractions) as an object array."""
+    Python ints as an integer array, or as an object array past 64 bits."""
     distinct, first, where = np.unique(values, return_index=True, return_inverse=True)
     order = np.argsort(first)
     raised = np.array([power(v) for v in distinct[order].tolist()])

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from fractions import Fraction
 
 import numpy as np
 
@@ -47,15 +46,6 @@ def matrices_close(a, b, rel: float = MATRIX_EQ_TOL) -> bool:
     if scale == 0.0:
         return True
     return float(np.abs(a - b).max()) <= rel * scale
-
-
-def _exact_power(base: int, exponent: int):
-    """base**exponent exactly: an int, or a Fraction for a negative exponent."""
-    if exponent >= 0:
-        return base**exponent  # 0**0 = 1
-    if base == 0:
-        raise PowerDomainError("zero base with a negative exponent")
-    return Fraction(1, base**-exponent)
 
 
 def _all_integral(*exponents) -> bool:
@@ -124,25 +114,37 @@ def combined_matrix(spec: CombinedSpec) -> np.ndarray:
     s, f = spec.subset, spec.f
     n = len(s)
     exact = f.is_integer_valued and _all_integral(spec.alpha, spec.beta, spec.gamma, spec.delta)
-
-    def power(values, exponent):
-        if exact:
-            return powers_by_value(values, lambda v: _exact_power(int(round(v)), int(exponent)))
-        return powers_by_value(values, lambda v: real_power(v, exponent))
-
-    out = np.ones((n, n), dtype=object if exact else np.float64)
     members = f.values[list(s.indices)]
+    # (values, exponent, whether values**exponent multiplies the entry or divides it)
+    factors = (
+        (lambda: f.values[s.pair_indices("meet")], spec.alpha, True),
+        (lambda: f.values[s.pair_indices("join")], spec.beta, True),
+        (lambda: members[:, None], spec.gamma, False),
+        (lambda: members[None, :], spec.delta, False),
+    )
+    # Exact mode keeps a numerator and a denominator in Python ints and takes
+    # one correctly rounded int / int per entry at the end.
+    num = np.ones((n, n), dtype=object if exact else np.float64)
+    den = np.ones((n, n), dtype=object)
     with np.errstate(over="ignore", invalid="ignore"):  # as Python floats do
-        for exponent, bound in ((spec.alpha, "meet"), (spec.beta, "join")):
-            if exponent != 0.0:
-                out = out * power(f.values[s.pair_indices(bound)], exponent)
-        for exponent, axis in ((spec.gamma, np.s_[:, None]), (spec.delta, np.s_[None, :])):
-            if exponent != 0.0:
-                d = power(members, exponent)
-                if (d == 0).any():
-                    raise PowerDomainError("division by a vanishing f power")
-                out = out / d[axis]
-    out = out.astype(np.float64)
+        for values, exponent, multiplies in factors:
+            if exponent == 0.0:
+                continue
+            if exact:
+                k = int(exponent)
+                p = powers_by_value(values(), lambda v: int(round(v)) ** abs(k))
+                multiplies = multiplies == (k > 0)  # a negative power changes sides
+            else:
+                p = powers_by_value(values(), lambda v: real_power(v, exponent))
+            if multiplies:
+                num = num * p
+            elif (p == 0).any():
+                raise PowerDomainError("division by a vanishing f power")
+            elif exact:
+                den = den * p
+            else:
+                num = num / p
+    out = (num / den if exact else num).astype(np.float64)
     if spec.is_symmetric_case:
         lower = np.tril_indices(n, -1)
         out[lower] = out.T[lower]

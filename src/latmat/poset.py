@@ -10,11 +10,14 @@ table) are computed lazily and cached.
 The join side is the meet side on the order dual: the same set under the
 transposed relation (``leq.T``, Mobius matrix ``mu.T``).  The meet-table
 routine also needs a linear extension, so the join table is built on the
-dual renumbered i -> N-1-i and read back through that index map.
+dual renumbered i -> N-1-i and read back through that index map.  A meet
+table costs O(N^2 * covers) plus bit-set tests, the Mobius matrix is one
+int64 row recursion, and divisor labels stay below 2**63.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
@@ -34,32 +37,43 @@ class LatticeError(PosetError):
 _OK, _NO_BOUND, _NOT_UNIQUE = 0, 1, 2
 
 
-def _transitive_closure(rel: np.ndarray) -> np.ndarray:
-    n = rel.shape[0]
-    reach = rel | np.eye(n, dtype=bool)
-    while True:
-        nxt = reach | (reach @ reach)
-        if np.array_equal(nxt, reach):
-            return reach
-        reach = nxt
+def _none_shared(rows, picks) -> np.ndarray:
+    """Entry k is True iff the np.packbits rows rows[0][picks[0][k]],
+    rows[1][picks[1][k]], ... have no bit set in all of them."""
+    step = max(1, (1 << 18) // max(1, rows[0].shape[1]))  # 256 KB gathers
+    out = np.empty(picks[0].size, dtype=bool)
+    for a in range(0, out.size, step):
+        shared = reduce(np.bitwise_and, (r[p[a : a + step]] for r, p in zip(rows, picks)))
+        out[a : a + step] = ~shared.any(axis=1)
+    return out
+
+
+def _cover_matrix(leq: np.ndarray) -> np.ndarray:
+    """cov[x, y]: x is covered by y, that is x < y with nothing in between."""
+    strict = leq & ~np.eye(leq.shape[0], dtype=bool)
+    x, y = np.nonzero(strict)
+    above, below = np.packbits(strict, axis=1), np.packbits(strict.T, axis=1)
+    strict[x, y] = _none_shared((above, below), (x, y))
+    return strict  # only the covers are left
 
 
 def _meet_tables(leq: np.ndarray):
-    # For each pair, the greatest lower bound has the largest index among
-    # common lower bounds (leq must order the elements by a linear extension),
-    # so it suffices to locate that candidate and verify it dominates the rest.
+    # Under a linear extension the meet of a pair, if any, is its largest-index
+    # common lower bound: best[y, x] = y if y <= x, else the max of best[c, x]
+    # over the lower covers c of y (each z < y is below one), or -1.  It is the
+    # meet iff no common lower bound lies outside its down-set.
     n = leq.shape[0]
-    table = np.zeros((n, n), dtype=np.int64)
-    status = np.full((n, n), _NO_BOUND, dtype=np.int8)
-    for i in range(n):
-        cand = leq[:, i : i + 1] & leq  # cand[z, j]: z below both i and j
-        has = cand.any(axis=0)
-        best = n - 1 - np.argmax(cand[::-1, :], axis=0)
-        dominated = ~(cand & ~leq[:, best]).any(axis=0)
-        table[i, :] = best
-        status[i, has & dominated] = _OK
-        status[i, has & ~dominated] = _NOT_UNIQUE
-    return table, status
+    lower_covers = _cover_matrix(leq).T
+    best = np.full((n, n), -1, dtype=np.int64)
+    for y in range(n):
+        best[y] = best[lower_covers[y]].max(axis=0, initial=-1)
+        best[y, leq[y]] = y
+    has = best >= 0
+    exact = leq | leq.T
+    i, j = np.nonzero(np.triu(has & ~exact))
+    down = np.packbits(leq.T, axis=1)  # row x: the elements below x
+    exact[i, j] = exact[j, i] = _none_shared((down, down, ~down), (i, j, best[i, j]))
+    return best, np.where(exact, _OK, np.where(has, _NOT_UNIQUE, _NO_BOUND)).astype(np.int8)
 
 
 class Poset:
@@ -128,8 +142,7 @@ class Poset:
     @cached_property
     def covers(self) -> list:
         """Cover pairs (x, y) with x covered by y."""
-        strict = self._leq & ~np.eye(len(self), dtype=bool)
-        cov = strict & ~(strict @ strict)
+        cov = _cover_matrix(self._leq)
         return [(self._labels[i], self._labels[j]) for i, j in zip(*np.nonzero(cov))]
 
     @cached_property
@@ -218,26 +231,17 @@ class Poset:
     def _mobius_matrix(self) -> np.ndarray:
         # Only the matrix is cached: a cached MobiusTable would point back at
         # this poset and keep it alive until the cyclic collector runs.
-        # The zeta matrix is unit upper triangular under a linear extension;
-        # its inverse is the Mobius matrix.  Both recursion directions amount
-        # to the right and the left inverse, computed independently and
-        # cross-checked.
-        z = self._leq.astype(np.int64)
+        # Z @ M = I for the unit upper triangular zeta matrix Z gives, bottom row
+        # first, M[i] = e_i - the sum of M[k] over the k strictly above i.  Each
+        # int64 sum is exact while n * max|M| < 2**63 over the rows it reads.
         n = len(self)
-        right = np.eye(n, dtype=np.int64)
+        m = np.eye(n, dtype=np.int64)
         for i in range(n - 2, -1, -1):
-            row = -(z[i, i + 1 :] @ right[i + 1 :, :])
-            row[i] += 1
-            right[i, :] = row
-        left = np.eye(n, dtype=np.int64)
-        for j in range(1, n):
-            col = -(left[:, :j] @ z[:j, j])
-            col[j] += 1
-            left[:, j] = col
-        if not np.array_equal(left, right):
-            raise RuntimeError("Mobius recursion directions disagree")
-        right.setflags(write=False)
-        return right
+            m[i] -= m[np.flatnonzero(self._leq[i, i + 1 :]) + i + 1].sum(axis=0)
+        if n * max(int(m.max(initial=0)), -int(m.min(initial=0))) >= 2**63:
+            raise RuntimeError("Mobius values too large for exact int64 arithmetic")
+        m.setflags(write=False)
+        return m
 
     # -- subsets and intervals ----------------------------------------------
 
@@ -403,20 +407,16 @@ def from_cover_relations(labels, covers) -> Poset:
         succ[pos[x]].append(pos[y])
         indeg[pos[y]] += 1
 
-    # Kahn topological sort, deterministic: ready nodes taken in input order.
+    # Kahn topological sort, deterministic: smallest ready input index first.
     order = []
-    ready = sorted(i for i in range(n) if indeg[i] == 0)
+    ready = [i for i in range(n) if indeg[i] == 0]
     while ready:
-        i = ready.pop(0)
+        i = heapq.heappop(ready)
         order.append(i)
-        changed = False
         for j in succ[i]:
             indeg[j] -= 1
             if indeg[j] == 0:
-                ready.append(j)
-                changed = True
-        if changed:
-            ready.sort()
+                heapq.heappush(ready, j)
     if len(order) != n:
         raise PosetError("cycle detected in cover relations")
 
@@ -424,7 +424,9 @@ def from_cover_relations(labels, covers) -> Poset:
     cov = np.zeros((n, n), dtype=bool)
     for x, y in covers:
         cov[rank[pos[x]], rank[pos[y]]] = True
-    leq = _transitive_closure(cov)
+    leq = np.eye(n, dtype=bool)
+    for x in range(n - 1, -1, -1):  # each y that covers x comes later
+        leq[x] |= leq[cov[x]].any(axis=0)
     return Poset([labels[i] for i in order], leq)
 
 
@@ -435,6 +437,8 @@ def divisor_poset(integers) -> Poset:
         raise PosetError("divisor poset needs at least one element")
     if vals[0] < 1:
         raise PosetError("divisor poset entries must be positive")
+    if vals[-1] >= 2**63:  # the labels are int64 below
+        raise PosetError("divisor poset entries must be below 2**63")
     a = np.array(vals, dtype=np.int64)
     leq = (a[None, :] % a[:, None]) == 0
     return Poset(vals, leq, _validate=False)
@@ -458,24 +462,20 @@ def divisors_of(m: int) -> list:
 
 
 def gcd_lcm_closure(integers) -> list:
-    """Close a set of positive integers under pairwise gcd and lcm."""
-    current = set(int(v) for v in integers)
-    if not current or min(current) < 1:
+    """Close a set of positive integers under pairwise gcd and lcm: the
+    lcm-closure of the gcd-closure, still gcd-closed as divisibility is distributive."""
+    vals = sorted(set(int(v) for v in integers))
+    if not vals or vals[0] < 1:
         raise PosetError("closure needs positive integers")
-    while True:
-        new = set()
-        vals = sorted(current)
-        for a, x in enumerate(vals):
-            for y in vals[: a + 1]:
-                g = math.gcd(x, y)
-                l = x * y // g
-                if g not in current:
-                    new.add(g)
-                if l not in current:
-                    new.add(l)
-        if not new:
-            return sorted(current)
-        current |= new
+    if math.lcm(*vals) >= 2**63:
+        raise PosetError("the lcm of the closure's inputs must be below 2**63")
+    for op in (np.gcd, np.lcm):
+        # a set C closed under op stays closed once g and op(g, C) join it
+        closed = np.empty(0, dtype=np.int64)
+        for g in vals:
+            closed = np.union1d(closed, np.append(op(g, closed), g))
+        vals = closed.tolist()
+    return vals
 
 
 def divisor_lattice(integers) -> Poset:

@@ -175,7 +175,7 @@ def _check_semimultiplicative():
 
 
 CHECKS = [
-    ("mobius inverse, both directions", _check_mobius),
+    ("mobius matrix inverts zeta on both sides", _check_mobius),
     ("divisor meets/joins vs gcd/lcm", _check_gcd_oracle),
     ("down-convolution totient identity", _check_totient_convolution),
     ("square-root and diagonal factorizations", _check_factorizations),

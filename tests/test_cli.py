@@ -52,6 +52,11 @@ def test_malformed_poset_file_reports_line(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def test_divisor_label_past_int64_exits_2(capsys):
+    assert run(["build", "--poset", f"divisors:1,{2**64}", "--func", "N", "--exp", "1,0,0,0"]) == 2
+    assert "2**63" in capsys.readouterr().err
+
+
 def test_bad_exponents(capsys):
     assert run(["build", "--poset", "chain:2", "--func", "N", "--exp", "1,0"]) == 2
     assert "exponent" in capsys.readouterr().err.lower()

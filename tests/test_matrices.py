@@ -162,6 +162,11 @@ def _pairwise_entry(x, y, alpha, beta, gamma, delta):
         (1.5, -0.5, 0, 0),
         (2, -1, 0.5, 0.5),
         (1, 0, 1, 0),
+        (1, -1, 0, 0),
+        (1, 0, 1, 1),
+        (1, 1, 2, 1),
+        (-1, 2, 1, 0),
+        (2, -1, -1, 1),
     ],
 )
 def test_combined_matches_pairwise_oracle(m, exps):

@@ -4,11 +4,12 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import latmat
 from latmat import LatticeError, PosetError
+from latmat.poset import _NO_BOUND, _NOT_UNIQUE, _OK, _meet_tables
 
 from conftest import lcm
 
@@ -49,6 +50,14 @@ def test_divisor_poset_orders_ascending():
 def test_divisor_poset_rejects_nonpositive():
     with pytest.raises(PosetError):
         latmat.divisor_poset([0, 2])
+
+
+def test_labels_past_int64_raise_poset_error():
+    with pytest.raises(PosetError, match=r"below 2\*\*63"):
+        latmat.divisor_poset([1, 2**64])
+    with pytest.raises(PosetError, match=r"below 2\*\*63"):
+        latmat.divisor_lattice([2**62, 3])  # the lcm is 3 * 2**62
+    assert latmat.divisor_lattice([2**62, 2]).elements == (2, 2**62)
 
 
 def test_divisor_poset_no_bottom():
@@ -277,6 +286,91 @@ def test_divisor_lattice_property(values):
         for y in values:
             assert p.meet(x, y) == math.gcd(x, y)
             assert p.join(x, y) == lcm(x, y)
+
+
+# -- pinned against brute-force references ------------------------------------
+
+
+@st.composite
+def random_posets(draw, max_size=10):
+    """A poset on 0..n-1 from random edges i -> j (i < j), closed transitively
+    and renumbered by from_cover_relations to a linear extension."""
+    n = draw(st.integers(min_value=0, max_value=max_size))
+    pairs = st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0)))
+    edges = draw(st.sets(pairs.filter(lambda e: e[0] < e[1]), min_size=n // 2, max_size=3 * n))
+    return latmat.from_cover_relations(range(n), sorted(edges))
+
+
+def _brute_meet_tables(leq):
+    """Per pair: the status, and the largest-index common lower bound."""
+    n = leq.shape[0]
+    table = np.zeros((n, n), dtype=np.int64)
+    status = np.full((n, n), _NO_BOUND, dtype=np.int8)
+    for i in range(n):
+        for j in range(n):
+            lower = [z for z in range(n) if leq[z, i] and leq[z, j]]
+            if lower:
+                table[i, j] = max(lower)
+                unique = any(all(leq[w, z] for w in lower) for z in lower)
+                status[i, j] = _OK if unique else _NOT_UNIQUE
+    return table, status
+
+
+# six elements: (3, 4) has two maximal common lower bounds, and 5 is below
+# and above nothing else
+_NON_LATTICE = latmat.from_cover_relations(
+    range(6), [(0, 1), (0, 2), (1, 3), (2, 3), (1, 4), (2, 4)]
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_posets())
+@example(_NON_LATTICE)
+def test_meet_tables_match_brute_force(p):
+    leq = p.leq_matrix
+    for order in (leq, leq[::-1, ::-1].T):  # the poset, and its dual renumbered N-1-i
+        table, status = _meet_tables(order)
+        want_table, want_status = _brute_meet_tables(order)
+        assert np.array_equal(status, want_status)
+        bounded = status != _NO_BOUND
+        assert np.array_equal(table[bounded], want_table[bounded])
+
+
+def test_brute_force_example_has_every_status():
+    _, status = _brute_meet_tables(_NON_LATTICE.leq_matrix)
+    assert {_OK, _NO_BOUND, _NOT_UNIQUE} <= set(status.ravel().tolist())
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_posets())
+@example(_NON_LATTICE)
+def test_mobius_matches_defining_sum(p):
+    leq = p.leq_matrix
+    n = len(p)
+    mu = [[0] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(x, n):  # z < y implies index z < index y
+            if leq[x, y]:
+                between = [z for z in range(x, y) if leq[x, z] and leq[z, y]]
+                mu[x][y] = 1 if x == y else -sum(mu[x][z] for z in between)
+    assert p.mobius().matrix.tolist() == mu
+
+
+def _naive_closure(values):
+    current = set(values)
+    while True:
+        new = {op(x, y) for x in current for y in current for op in (math.gcd, lcm)} - current
+        if not new:
+            return sorted(current)
+        current |= new
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sets(st.integers(min_value=1, max_value=200), min_size=1, max_size=7))
+def test_gcd_lcm_closure_matches_naive_fixpoint(values):
+    closed = latmat.gcd_lcm_closure(values)
+    assert closed == _naive_closure(values)
+    assert all(type(v) is int for v in closed)
 
 
 # -- text format ---------------------------------------------------------------
