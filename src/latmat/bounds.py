@@ -37,7 +37,7 @@ from .matrices import (
     factor_meet_closed,
     pair_ratios,
 )
-from .poset import LatticeError, divisor_lattice, divisor_poset, divisors_of
+from .poset import ElementSubset, LatticeError, divisor_lattice, divisor_poset, divisors_of
 
 REPORT_TOL = 1e-9
 CONDITION_TOL = 1e-12
@@ -148,18 +148,19 @@ def _require_symmetric_case(spec: CombinedSpec) -> None:
         )
 
 
-def _require_nonzero_semimultiplicative(spec: CombinedSpec) -> None:
+def _require_nonzero_semimultiplicative(spec: CombinedSpec, domain, closure: str) -> None:
+    # with both, the combined matrix is D A D for A the meet matrix of a power
+    # of f on S, so the theorem needs nothing outside S and its ideal or filter
     f = spec.f
-    if np.any(f.values == 0.0):
-        k = int(np.argmin(np.abs(f.values)))
+    for k in np.flatnonzero(f.values[list(domain.indices)] == 0.0)[:1]:
         raise HypothesisError(
-            f"the lower bound requires a nowhere-zero f; f vanishes at "
-            f"{f.parent.label_of(k)!r}"
+            f"the lower bound requires an f that is nowhere-zero on S and its "
+            f"{closure}; f vanishes at {domain.labels[k]!r}"
         )
-    if not is_semimultiplicative(f):
+    if not is_semimultiplicative(f, spec.subset):
         raise HypothesisError(
             "the lower bound requires a semimultiplicative f "
-            "(f(x)f(y) = f(meet)f(join) for all pairs)"
+            "(f(x)f(y) = f(meet)f(join) for all pairs of S)"
         )
 
 
@@ -170,10 +171,11 @@ def _holds(bound: float, true_kappa: float) -> bool:
 def lower_bound_meet(spec: CombinedSpec, c_value: ConstantValue) -> BoundReport:
     """Meet-side lower bound for the smallest eigenvalue of the combined matrix.
 
-    Needs gamma = delta, a nowhere-zero semimultiplicative f, and a strictly
-    positive down-convolution of f**(alpha-beta) on the whole order ideal of
-    S.  The bound is c * min over S of that convolution * min over S of
-    (f(x)^2)**(beta-gamma).
+    Needs gamma = delta, f(x)f(y) = f(x meet y)f(x join y) for every pair of
+    S, a bottom, an f nowhere zero on S and its order ideal, and a strictly
+    positive down-convolution of f**(alpha-beta) on that ideal; nothing is
+    asked of the rest of the poset.  The bound is c * min over S of that
+    convolution * min over S of (f(x)^2)**(beta-gamma).
     """
     return _lower_bound(spec, c_value, "meet", down_convolution, spec.alpha, spec.beta)
 
@@ -181,23 +183,26 @@ def lower_bound_meet(spec: CombinedSpec, c_value: ConstantValue) -> BoundReport:
 def lower_bound_join(spec: CombinedSpec, c_value: ConstantValue) -> BoundReport:
     """Join-side twin of lower_bound_meet: the same bound on the order dual.
 
-    Needs a strictly positive up-convolution of f**(beta-alpha) on the whole
-    order filter of S; the last factor becomes (f(x)^2)**(alpha-gamma).
+    Needs a top, an f nowhere zero on S and its order filter, and a strictly
+    positive up-convolution of f**(beta-alpha) on that filter; the last
+    factor becomes (f(x)^2)**(alpha-gamma).
     """
     return _lower_bound(spec, c_value, "join", up_convolution, spec.beta, spec.alpha)
 
 
 # The cores below take the meet side's (alpha, beta) as (a, b); the join side
 # passes the order dual's: (beta, alpha), up for down, join for meet.
-_CLOSURE = {"down": "order ideal", "up": "order filter"}
+_CLOSURE = {"meet": ("order ideal", ElementSubset.order_ideal),
+            "join": ("order filter", ElementSubset.order_filter)}
 
 
 def _lower_bound(spec: CombinedSpec, c_value, side, convolution, a, b) -> BoundReport:
     _require_symmetric_case(spec)
     spec.validate()
     s = spec.subset
-    try:  # the lattice the bound needs: meets, joins, and a bottom or a top
-        _require_nonzero_semimultiplicative(spec)
+    closure, domain = _CLOSURE[side]
+    try:  # meets and joins of the pairs of S, and a bottom or a top
+        _require_nonzero_semimultiplicative(spec, domain(s), closure)
         conv = convolution(spec.f, a - b, s)
     except LatticeError as exc:
         raise HypothesisError(str(exc)) from None
@@ -205,7 +210,7 @@ def _lower_bound(spec: CombinedSpec, c_value, side, convolution, a, b) -> BoundR
         if value <= 0.0:
             raise HypothesisError(
                 f"the {side}-side lower bound requires a strictly positive "
-                f"{conv.direction}-convolution on the {_CLOSURE[conv.direction]}; "
+                f"{conv.direction}-convolution on the {closure}; "
                 f"violated at {label!r} (value {value})"
             )
     min_conv = float(conv.values[: len(s)].min())

@@ -214,17 +214,16 @@ def _convolution(direction: str, f: PosetFunction, alpha: float, domain, mu) -> 
     return ConvolutionVector(direction, float(alpha), domain, vals)
 
 
-def is_semimultiplicative(f: PosetFunction, p: Poset | None = None, tol: float = SEMIMULT_TOL) -> bool:
-    """Check f(x)f(y) = f(meet)f(join) for all pairs, to a relative tolerance.
-
-    The poset must be a lattice; a missing meet or join raises LatticeError.
-    """
-    if p is None:
-        p = f.parent
-    if p is not f.parent:
-        raise ValueError("function is not defined on the given poset")
+def is_semimultiplicative(f: PosetFunction, s: ElementSubset | None = None, tol: float = SEMIMULT_TOL) -> bool:
+    """Check f(x)f(y) = f(meet)f(join) for every pair of members of s (default:
+    every element of f's poset), to a relative tolerance.  A pair without a
+    unique meet or join raises LatticeError."""
+    if s is None:
+        s = ElementSubset(f.parent, range(len(f.parent)), validate=False)
+    if s.parent is not f.parent:
+        raise ValueError("function and subset live on different posets")
     v = f.values
-    meets, joins = p._bound_values(v)
-    lhs = np.outer(v, v)
-    mismatch = np.abs(lhs - meets * joins) > tol * np.maximum(1.0, np.abs(lhs))
+    lhs = np.outer(v[list(s.indices)], v[list(s.indices)])
+    rhs = v[s.pair_indices("meet")] * v[s.pair_indices("join")]
+    mismatch = np.abs(lhs - rhs) > tol * np.maximum(1.0, np.abs(lhs))
     return not np.triu(mismatch, 1).any()

@@ -4,15 +4,16 @@ Elements are opaque hashable labels mapped to dense integer indices at
 construction time.  The stored element order is always a linear extension
 of the partial order, so the ``leq`` matrix is upper triangular with a
 True diagonal.  Posets are immutable once built and safe for concurrent
-reads; derived structures (cover relation, meet/join tables, Mobius
+reads; derived structures (cover relation, packed down-sets, Mobius
 table) are computed lazily and cached.
 
-The join side is the meet side on the order dual: the same set under the
-transposed relation (``leq.T``, Mobius matrix ``mu.T``).  The meet-table
-routine also needs a linear extension, so the join table is built on the
-dual renumbered i -> N-1-i and read back through that index map.  A meet
-table costs O(N^2 * covers) plus bit-set tests, the Mobius matrix is one
-int64 row recursion, and divisor labels stay below 2**63.
+Meets and joins are found only for the pairs asked, by one bit-set
+routine over the pairs of a member set S in O(|S|^2 * N/8) bytes.  The
+join side is the meet side on the order dual: the same set under the
+transposed relation (``leq.T``, Mobius matrix ``mu.T``), renumbered
+i -> N-1-i so that it is again a linear extension, and read back through
+that index map.  The Mobius matrix is one int64 row recursion, and
+divisor labels stay below 2**63.
 """
 
 from __future__ import annotations
@@ -33,19 +34,8 @@ class LatticeError(PosetError):
     """A lattice operation failed: missing meet/join, or no bottom/top."""
 
 
-# status codes used in the cached meet/join tables
+# status codes of the meet or join of a pair
 _OK, _NO_BOUND, _NOT_UNIQUE = 0, 1, 2
-
-
-def _none_shared(rows, picks) -> np.ndarray:
-    """Entry k is True iff the np.packbits rows rows[0][picks[0][k]],
-    rows[1][picks[1][k]], ... have no bit set in all of them."""
-    step = max(1, (1 << 18) // max(1, rows[0].shape[1]))  # 256 KB gathers
-    out = np.empty(picks[0].size, dtype=bool)
-    for a in range(0, out.size, step):
-        shared = reduce(np.bitwise_and, (r[p[a : a + step]] for r, p in zip(rows, picks)))
-        out[a : a + step] = ~shared.any(axis=1)
-    return out
 
 
 def _cover_matrix(leq: np.ndarray) -> np.ndarray:
@@ -53,27 +43,39 @@ def _cover_matrix(leq: np.ndarray) -> np.ndarray:
     strict = leq & ~np.eye(leq.shape[0], dtype=bool)
     x, y = np.nonzero(strict)
     above, below = np.packbits(strict, axis=1), np.packbits(strict.T, axis=1)
-    strict[x, y] = _none_shared((above, below), (x, y))
+    step = max(1, (1 << 18) // max(1, above.shape[1]))  # 256 KB gathers
+    for k in range(0, x.size, step):
+        xk, yk = x[k : k + step], y[k : k + step]
+        strict[xk, yk] = ~(above[xk] & below[yk]).any(axis=1)
     return strict  # only the covers are left
 
 
-def _meet_tables(leq: np.ndarray):
-    # Under a linear extension the meet of a pair, if any, is its largest-index
-    # common lower bound: best[y, x] = y if y <= x, else the max of best[c, x]
-    # over the lower covers c of y (each z < y is below one), or -1.  It is the
-    # meet iff no common lower bound lies outside its down-set.
-    n = leq.shape[0]
-    lower_covers = _cover_matrix(leq).T
-    best = np.full((n, n), -1, dtype=np.int64)
-    for y in range(n):
-        best[y] = best[lower_covers[y]].max(axis=0, initial=-1)
-        best[y, leq[y]] = y
-    has = best >= 0
-    exact = leq | leq.T
-    i, j = np.nonzero(np.triu(has & ~exact))
-    down = np.packbits(leq.T, axis=1)  # row x: the elements below x
-    exact[i, j] = exact[j, i] = _none_shared((down, down, ~down), (i, j, best[i, j]))
-    return best, np.where(exact, _OK, np.where(has, _NOT_UNIQUE, _NO_BOUND)).astype(np.int8)
+# offset of the last element in a nonzero np.packbits byte v: its lowest set bit
+_LAST_BIT = np.array([8 - (v & -v).bit_length() for v in range(256)], dtype=np.intp)
+
+
+def _pair_meets(down: np.ndarray, idx) -> tuple:
+    """Index and status of the meet of every pair of members idx (in any
+    order) as two |idx| x |idx| arrays, from the packed down-sets
+    down = np.packbits(leq.T, axis=1) of a linear extension.  There a pair's
+    meet, if any, is its largest-index common lower bound, and that
+    candidate is the meet iff no common lower bound lies outside its down-set.
+    """
+    idx = np.asarray(idx, dtype=np.intp)
+    le = np.unpackbits(down[idx], axis=1)[:, idx].T.astype(bool)  # le[a, b]: x_a <= x_b
+    meet = np.where(le, idx[:, None], idx[None, :])  # a comparable pair meets at its lower member
+    status = np.full(meet.shape, _OK, dtype=np.int8)
+    a, b = np.nonzero(np.triu(~(le | le.T)))
+    step = max(1, (1 << 18) // max(1, down.shape[1]))  # 256 KB gathers
+    for k in range(0, a.size, step):
+        ak, bk = a[k : k + step], b[k : k + step]
+        shared = down[idx[ak]] & down[idx[bk]]
+        last = shared.shape[1] - 1 - (shared[:, ::-1] != 0).argmax(axis=1)
+        byte = shared[np.arange(last.size), last]  # 0 iff no common lower bound
+        meet[ak, bk] = meet[bk, ak] = top = np.where(byte != 0, 8 * last + _LAST_BIT[byte], -1)
+        unique = ~(shared & ~down[top]).any(axis=1)
+        status[ak, bk] = status[bk, ak] = np.where(byte == 0, _NO_BOUND, np.where(unique, _OK, _NOT_UNIQUE))
+    return meet, status
 
 
 class Poset:
@@ -173,54 +175,43 @@ class Poset:
     # -- meets and joins ---------------------------------------------------
 
     @cached_property
-    def _meet_data(self):
-        return _meet_tables(self._leq)
+    def _down_rows(self):
+        """Packed down-sets of the poset and of its dual renumbered i -> N-1-i."""
+        return np.packbits(self._leq.T, axis=1), np.packbits(self._leq[::-1, ::-1], axis=1)
 
-    @cached_property
-    def _join_data(self):
-        # Joins are the meets of the order dual.  Renumbered i -> N-1-i, the
-        # dual order is again a linear extension, so the meet routine builds
-        # its table; the table stays in that numbering (see _join_index).
-        return _meet_tables(self._leq[::-1, ::-1].T)
-
-    def _bound_index(self, data, bound: str, i: int, j: int, a: int, b: int) -> int:
-        """Entry (a, b) of a meet table, which stands for the pair (i, j) here."""
-        table, status = data
-        if status[a, b] == _NO_BOUND:
-            raise LatticeError(
-                f"no common {bound.split()[1]} bound of {self._labels[i]!r} and {self._labels[j]!r}"
-            )
-        if status[a, b] == _NOT_UNIQUE:
-            raise LatticeError(
-                f"{bound} bound of {self._labels[i]!r} and {self._labels[j]!r} "
-                "is not unique (not a lattice at this pair)"
-            )
-        return int(table[a, b])
-
-    def _meet_index(self, i: int, j: int) -> int:
-        return self._bound_index(self._meet_data, "greatest lower", i, j, i, j)
-
-    def _join_index(self, i: int, j: int) -> int:
+    def _pairs(self, bound: str, idx):
+        """Index and status of the meet (bound "meet") or the join ("join") of
+        every pair of members idx: joins are the meets of the order dual."""
+        if bound == "meet":
+            return _pair_meets(self._down_rows[0], idx)
         n = len(self) - 1
-        return n - self._bound_index(self._join_data, "least upper", i, j, n - i, n - j)
+        table, status = _pair_meets(self._down_rows[1], n - np.asarray(idx, dtype=np.intp))
+        return n - table, status
 
-    def _bound_values(self, values: np.ndarray):
-        """values at the meet and at the join of every pair, as two N x N arrays;
-        raises LatticeError at the first pair without a unique meet or join."""
-        every = ElementSubset(self, range(len(self)), validate=False)
-        return values[every.pair_indices("meet")], values[every.pair_indices("join")]
+    def _pair_bounds(self, bound: str, idx) -> np.ndarray:
+        """The index table of _pairs, read-only; raises LatticeError at the
+        first pair in row-major order without a unique meet or join."""
+        table, status = self._pairs(bound, idx)
+        for a, b in np.argwhere(status != _OK)[:1]:
+            words = "greatest lower" if bound == "meet" else "least upper"
+            pair = f"{self._labels[idx[a]]!r} and {self._labels[idx[b]]!r}"
+            if status[a, b] == _NO_BOUND:
+                raise LatticeError(f"no common {words.split()[1]} bound of {pair}")
+            raise LatticeError(f"{words} bound of {pair} is not unique (not a lattice at this pair)")
+        table.setflags(write=False)
+        return table
 
     def meet(self, x, y):
         """Greatest lower bound of x and y; raises LatticeError if undefined."""
-        return self._labels[self._meet_index(self.index_of(x), self.index_of(y))]
+        return self._labels[self._pair_bounds("meet", [self.index_of(x), self.index_of(y)])[0, 1]]
 
     def join(self, x, y):
         """Least upper bound of x and y; raises LatticeError if undefined."""
-        return self._labels[self._join_index(self.index_of(x), self.index_of(y))]
+        return self._labels[self._pair_bounds("join", [self.index_of(x), self.index_of(y)])[0, 1]]
 
     def is_lattice(self) -> bool:
         """True iff every pair of elements has a unique meet and a unique join."""
-        return all((status == _OK).all() for _, status in (self._meet_data, self._join_data))
+        return all((self._pairs(b, np.arange(len(self)))[1] == _OK).all() for b in ("meet", "join"))
 
     # -- Mobius function ---------------------------------------------------
 
@@ -300,6 +291,7 @@ class ElementSubset:
                     "in the order but follows it in the subset"
                 )
         self._member_set = frozenset(self.indices)
+        self._pair_tables = {}
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -316,19 +308,12 @@ class ElementSubset:
 
     def pair_indices(self, bound: str) -> np.ndarray:
         """Poset indices of the meets (bound "meet") or the joins ("join") of
-        the member pairs, as an |S| x |S| array: entry [a, b] belongs to
-        (x_a, x_b).  Raises LatticeError at the first pair in row-major order
-        without a unique meet or join."""
-        p = self.parent
-        idx = np.asarray(self.indices, dtype=np.intp)
-        if bound == "meet":
-            (table, status), rows, lookup = p._meet_data, idx, p._meet_index
-        else:  # the join table is in the numbering i -> N-1-i
-            (table, status), rows, lookup = p._join_data, len(p) - 1 - idx, p._join_index
-        pairs = np.ix_(rows, rows)
-        for a, b in np.argwhere(status[pairs] != _OK)[:1]:
-            lookup(idx[a], idx[b])  # raises, naming the pair
-        return table[pairs] if bound == "meet" else len(p) - 1 - table[pairs]
+        the member pairs, as a read-only |S| x |S| array cached per bound:
+        entry [a, b] belongs to (x_a, x_b).  Raises LatticeError at the first
+        pair in row-major order without a unique meet or join."""
+        if bound not in self._pair_tables:
+            self._pair_tables[bound] = self.parent._pair_bounds(bound, self.indices)
+        return self._pair_tables[bound]
 
     def is_meet_closed(self) -> bool:
         """True iff the meet of every member pair is again a member."""
@@ -427,7 +412,9 @@ def from_cover_relations(labels, covers) -> Poset:
     leq = np.eye(n, dtype=bool)
     for x in range(n - 1, -1, -1):  # each y that covers x comes later
         leq[x] |= leq[cov[x]].any(axis=0)
-    return Poset([labels[i] for i in order], leq)
+    # the closure of the covers in Kahn order is a reflexive, antisymmetric,
+    # transitive and upper triangular relation by construction
+    return Poset([labels[i] for i in order], leq, _validate=False)
 
 
 def divisor_poset(integers) -> Poset:

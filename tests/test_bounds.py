@@ -134,6 +134,62 @@ def test_join_bound_positivity_violation():
         lower_bound_join(spec, c_exact(3))
 
 
+# The hypotheses are checked on S and its ideal or filter only: the cases below
+# were not applicable while they were checked on the whole poset.
+
+
+def _assert_both_sides_sound(spec, c):
+    kappa = float(np.abs(np.linalg.eigvalsh(latmat.combined_matrix(spec))).min())
+    for lower_bound in (lower_bound_meet, lower_bound_join):
+        report = lower_bound(spec, c)
+        assert report.holds
+        assert report.true_kappa == pytest.approx(kappa, rel=1e-10)
+        assert 0.0 < report.bound <= kappa
+
+
+def test_bounds_need_semimultiplicativity_only_on_the_pairs_of_s():
+    # f breaks f(x)f(y) = f(x meet y)f(x join y) only at 60 = lcm(4, 15), which
+    # is not the meet or the join of any pair of S = {1..6}
+    p = latmat.divisor_lattice(range(1, 7))  # the divisors of 60
+    vals = {x: float(x) for x in p.elements}
+    vals[60] = 61.0
+    f = PosetFunction.from_mapping(p, vals)
+    s = p.subset(range(1, 7))
+    assert not latmat.is_semimultiplicative(f)
+    assert latmat.is_semimultiplicative(f, s)
+    for alpha, beta in ((1.0, 0.0), (2.0, 1.0)):
+        _assert_both_sides_sound(CombinedSpec(alpha, beta, 0.0, 0.0, s, f), c_exact(6))
+
+
+def test_bounds_need_meets_and_joins_only_on_the_pairs_of_s():
+    # S is a diamond 0 < a, b < c; above c sits a bowtie (u, v below both w and
+    # z), so u and v have no join and the poset is not a lattice
+    p = latmat.from_cover_relations(
+        ["0", "a", "b", "c", "u", "v", "w", "z", "1"],
+        [("0", "a"), ("0", "b"), ("a", "c"), ("b", "c"), ("c", "u"), ("c", "v"),
+         ("u", "w"), ("v", "w"), ("u", "z"), ("v", "z"), ("w", "1"), ("z", "1")],
+    )
+    assert not p.is_lattice()
+    values = {"0": 1, "a": 2, "b": 3, "c": 6, "u": 12, "v": 12, "w": 24, "z": 24, "1": 48}
+    f = PosetFunction.from_mapping(p, values)
+    s = p.subset(["0", "a", "b", "c"])
+    for alpha, beta in ((1.0, 0.0), (2.0, 1.0), (1.5, 0.5)):
+        _assert_both_sides_sound(CombinedSpec(alpha, beta, 0.0, 0.0, s, f), c_exact(4))
+
+
+def test_bounds_need_a_nonzero_f_only_on_s_and_its_closure():
+    # f vanishes at 12, which is outside the order ideal of S = {1, 2, 4} but
+    # inside its order filter
+    p = latmat.divisor_poset([1, 2, 3, 4, 6, 12])
+    f = PosetFunction.from_mapping(p, {1: 1.0, 2: 2.0, 3: 3.0, 4: 4.0, 6: 6.0, 12: 0.0})
+    spec = CombinedSpec(1.0, 0.0, 0.0, 0.0, p.subset([1, 2, 4]), f)
+    kappa = float(np.abs(np.linalg.eigvalsh(latmat.combined_matrix(spec))).min())
+    report = lower_bound_meet(spec, c_exact(3))
+    assert report.holds and 0.0 < report.bound <= kappa
+    with pytest.raises(HypothesisError, match="nowhere-zero on S and its order filter; f vanishes at 12"):
+        lower_bound_join(spec, c_exact(3))
+
+
 def test_each_spec_is_solved_once(monkeypatch):
     # both sides of a bound, and both regions, share the spec's one spectrum
     calls = []

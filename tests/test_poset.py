@@ -1,5 +1,7 @@
 import gc
 import math
+import random
+import re
 import weakref
 
 import numpy as np
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 
 import latmat
 from latmat import LatticeError, PosetError
-from latmat.poset import _NO_BOUND, _NOT_UNIQUE, _OK, _meet_tables
+from latmat.poset import _NO_BOUND, _NOT_UNIQUE, _OK, _pair_meets
 
 from conftest import lcm
 
@@ -301,6 +303,15 @@ def random_posets(draw, max_size=10):
     return latmat.from_cover_relations(range(n), sorted(edges))
 
 
+@settings(max_examples=100, deadline=None)
+@given(random_posets())
+def test_cover_relations_pass_the_constructor_checks(p):
+    # from_cover_relations skips validation, since its closure of the covers
+    # is a valid order by construction; the checking constructor must agree
+    again = latmat.Poset(p.elements, p.leq_matrix)
+    assert np.array_equal(again.leq_matrix, p.leq_matrix)
+
+
 def _brute_meet_tables(leq):
     """Per pair: the status, and the largest-index common lower bound."""
     n = leq.shape[0]
@@ -323,17 +334,48 @@ _NON_LATTICE = latmat.from_cover_relations(
 )
 
 
+def _member_orders(n, rng):
+    """The whole poset in order, then random member subsets in random order."""
+    yield np.arange(n)
+    for _ in range(4):
+        yield np.array(rng.sample(range(n), rng.randint(0, n)), dtype=np.intp)
+
+
 @settings(max_examples=150, deadline=None)
-@given(random_posets())
-@example(_NON_LATTICE)
-def test_meet_tables_match_brute_force(p):
+@given(random_posets(), st.randoms(use_true_random=False))
+@example(_NON_LATTICE, random.Random(0))
+def test_meet_tables_match_brute_force(p, rng):
     leq = p.leq_matrix
     for order in (leq, leq[::-1, ::-1].T):  # the poset, and its dual renumbered N-1-i
-        table, status = _meet_tables(order)
         want_table, want_status = _brute_meet_tables(order)
-        assert np.array_equal(status, want_status)
-        bounded = status != _NO_BOUND
-        assert np.array_equal(table[bounded], want_table[bounded])
+        down = np.packbits(order.T, axis=1)
+        for idx in _member_orders(len(p), rng):
+            table, status = _pair_meets(down, idx)
+            pairs = np.ix_(idx, idx)
+            assert np.array_equal(status, want_status[pairs])
+            bounded = status != _NO_BOUND
+            assert np.array_equal(table[bounded], want_table[pairs][bounded])
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_posets(), st.randoms(use_true_random=False))
+@example(_NON_LATTICE, random.Random(0))
+def test_pair_indices_match_whole_poset_meets_and_joins(p, rng):
+    # a subset's pairs get the meets and joins that the whole poset gives them,
+    # and the same error at the first pair without one
+    for bound, whole in (("meet", p.meet), ("join", p.join)):
+        for idx in _member_orders(len(p), rng):
+            s = p.subset([p.label_of(i) for i in idx])
+            pos = list(s.indices)
+            try:
+                want = [[p.index_of(whole(p.label_of(i), p.label_of(j))) for j in pos] for i in pos]
+            except LatticeError as exc:
+                with pytest.raises(LatticeError, match=re.escape(str(exc))):
+                    s.pair_indices(bound)
+                continue
+            got = s.pair_indices(bound)
+            assert got.tolist() == want and not got.flags.writeable
+            assert s.pair_indices(bound) is got  # cached per subset and bound
 
 
 def test_brute_force_example_has_every_status():
