@@ -1,4 +1,5 @@
-"""Real-valued functions on poset elements and their Mobius convolutions.
+"""Real-valued functions on poset elements and their Mobius convolutions,
+solved by forward substitution on the zeta relation, without Mobius values.
 
 Power evaluation follows the 0**0 = 1 convention throughout; zero base with
 a negative exponent and negative base with a non-integer exponent are domain
@@ -7,11 +8,12 @@ errors rather than NaNs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .poset import ElementSubset, LatticeError, Poset, _parse_label
+from .poset import ElementSubset, Poset, _parse_label
 
 SEMIMULT_TOL = 1e-9
 
@@ -169,48 +171,50 @@ class ConvolutionVector:
         return f"ConvolutionVector({self.direction}, exponent={self.exponent}, {self.entries})"
 
 
-def _powers(f: PosetFunction, indices, alpha: float):
-    """(float array, exact int list or None) of f**alpha over the given indices."""
-    exact = None
-    if f.is_integer_valued and alpha == int(alpha) and alpha >= 0:
-        k = int(alpha)
-        exact = [int(round(f.values[i])) ** k for i in indices]
-        # 0**0 = 1 is what Python's int pow already gives
-        return np.array([float(v) for v in exact]), exact
-    vals = np.array([real_power(f.values[i], alpha) for i in indices])
-    return vals, None
+def exact_powers(values: np.ndarray, k: int):
+    """values**k for integer-valued values as (numerator, denominator) in Python
+    ints, (v**k, 1) or (1, v**-k), one power per distinct value (0**0 = 1)."""
+    p = powers_by_value(values, lambda v: int(round(v)) ** abs(k)).astype(object)
+    return (p, 1) if k >= 0 else (1, p)
 
 
 def down_convolution(f: PosetFunction, alpha: float, s: ElementSubset) -> ConvolutionVector:
-    """Sum of f(z)**alpha * mu(z, w) over z below w, for every w in the ideal of S.
-
-    Integer-valued f with a nonnegative integer exponent is accumulated in
-    exact integer arithmetic before widening to float.
-    """
-    if not s.parent.has_bottom:
-        raise LatticeError("down convolution requires a bottom element")
-    return _convolution("down", f, alpha, s.order_ideal(), s.parent.mobius().matrix)
+    """The g on the order ideal of S whose sum over w <= x is f(x)**alpha:
+    g(w) is the sum of f(z)**alpha * mu(z, w) over z below w."""
+    return _convolution("down", f, alpha, s.order_ideal(), s.parent._leq)
 
 
 def up_convolution(f: PosetFunction, alpha: float, s: ElementSubset) -> ConvolutionVector:
-    """Sum of mu(w, z) * f(z)**alpha over z above w, for every w in the filter of S:
-    the down-convolution on the order dual, whose Mobius matrix is mu.T."""
-    if not s.parent.has_top:
-        raise LatticeError("up convolution requires a top element")
-    return _convolution("up", f, alpha, s.order_filter(), s.parent.mobius().matrix.T)
+    """The down-convolution on the order dual (relation leq.T): the g on the order
+    filter of S whose sum over w >= x is f(x)**alpha, g(w) = sum of mu(w, z) f(z)**alpha."""
+    return _convolution("up", f, alpha, s.order_filter(), s.parent._leq.T)
 
 
-def _convolution(direction: str, f: PosetFunction, alpha: float, domain, mu) -> ConvolutionVector:
-    """Sum of f(z)**alpha * mu[z, w] over z in the domain, for every w in it."""
+def _convolution(direction: str, f: PosetFunction, alpha: float, domain, leq) -> ConvolutionVector:
+    """g(x) = f(x)**alpha - the sum of g(w) over w < x under leq, along a linear extension
+    of the domain, an ideal under leq, so each such w is solved before x.  The powers are
+    exact rationals (integer-valued f, integer exponent) or floats, which are dyadic: the
+    substitution runs in Python ints over one common denominator, one rounding per entry."""
     if f.parent is not domain.parent:
         raise ValueError("function and subset live on different posets")
-    idx = list(domain.indices)
-    mu = mu[np.ix_(idx, idx)]
-    fpow, exact = _powers(f, idx, alpha)
-    if exact is not None:  # Python ints in an object array: the sums stay exact
-        vals = (np.array(exact, dtype=object) @ mu.astype(object)).astype(np.float64)
-    else:
-        vals = fpow @ mu.astype(np.float64)
+    idx = np.asarray(domain.indices, dtype=np.intp)
+    where = np.argsort(idx)[:: -1 if direction == "up" else 1]  # domain positions, extension order
+    below = leq.T[idx[where]][:, idx[where]]  # below[k, j]: the j-th is < the k-th
+    np.fill_diagonal(below, False)
+    values = f.values[idx]  # powers in domain order: the first to raise is the first member's
+    if f.is_integer_valued and alpha == int(alpha):
+        num, den = exact_powers(values, int(alpha))
+        if np.any(den == 0):
+            raise PowerDomainError("zero base with a negative exponent")
+    else:  # each float power is a dyadic rational
+        powers = powers_by_value(values, lambda v: real_power(v, alpha)).tolist()
+        num, den = np.array([v.as_integer_ratio() for v in powers], dtype=object).reshape(-1, 2).T
+    common = math.lcm(*np.ravel(den).tolist())
+    g = (num * (common // den))[where]
+    for k, row in enumerate(below):
+        g[k] -= sum(g[row])
+    vals = np.empty(len(g))
+    vals[where] = g / common
     return ConvolutionVector(direction, float(alpha), domain, vals)
 
 

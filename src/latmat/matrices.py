@@ -8,7 +8,6 @@ are computed in double precision through the shared real-power rules.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -18,6 +17,7 @@ from .incidence import (
     PosetFunction,
     PowerDomainError,
     down_convolution,
+    exact_powers,
     powers_by_value,
     real_power,
     up_convolution,
@@ -131,19 +131,18 @@ def combined_matrix(spec: CombinedSpec) -> np.ndarray:
             if exponent == 0.0:
                 continue
             if exact:
-                k = int(exponent)
-                p = powers_by_value(values(), lambda v: int(round(v)) ** abs(k))
-                multiplies = multiplies == (k > 0)  # a negative power changes sides
+                top, bottom = exact_powers(values(), int(exponent))
             else:
-                p = powers_by_value(values(), lambda v: real_power(v, exponent))
-            if multiplies:
-                num = num * p
-            elif (p == 0).any():
+                top, bottom = powers_by_value(values(), lambda v: real_power(v, exponent)), 1
+            if not multiplies:
+                top, bottom = bottom, top
+            if np.any(bottom == 0):
                 raise PowerDomainError("division by a vanishing f power")
-            elif exact:
-                den = den * p
+            num = num * top
+            if exact:
+                den = den * bottom
             else:
-                num = num / p
+                num = num / bottom
     out = (num / den if exact else num).astype(np.float64)
     if spec.is_symmetric_case:
         lower = np.tril_indices(n, -1)
@@ -196,22 +195,6 @@ def g_matrix(s: ElementSubset, f: PosetFunction, exponent: float) -> np.ndarray:
 # -- square-root factorizations over ideals and filters ----------------------
 
 
-def _sqrt_entries(values: np.ndarray, labels) -> np.ndarray:
-    scale = max(1.0, float(np.abs(values).max(initial=0.0)))
-    out = np.empty_like(values)
-    for k, v in enumerate(values):
-        if v < 0.0:
-            if v >= -1e-12 * scale:  # roundoff from cancellation in the convolution
-                out[k] = 0.0
-                continue
-            raise FactorizationError(
-                f"convolution entry at {labels[k]!r} is negative ({v}); "
-                "the square-root factorization needs nonnegative entries"
-            )
-        out[k] = math.sqrt(v)
-    return out
-
-
 def factor_ideal(s: ElementSubset, f: PosetFunction, alpha: float = 1.0) -> np.ndarray:
     """n x m factor A with A A^T equal to the meet matrix of f**alpha.
 
@@ -229,9 +212,15 @@ def factor_filter(s: ElementSubset, f: PosetFunction, alpha: float = 1.0) -> np.
 
 
 def _root_factor(s: ElementSubset, conv, leq: np.ndarray) -> np.ndarray:
-    roots = _sqrt_entries(conv.values, conv.domain.labels)
+    # entries down to -1e-12 * scale are roundoff from cancellation, read as 0
+    scale = max(1.0, float(np.abs(conv.values).max(initial=0.0)))
+    for k in np.flatnonzero(conv.values < -1e-12 * scale)[:1]:
+        raise FactorizationError(
+            f"convolution entry at {conv.domain.labels[k]!r} is negative ({conv.values[k]}); "
+            "the square-root factorization needs nonnegative entries"
+        )
     below = leq[np.ix_(conv.domain.indices, s.indices)].T  # below[i, j]: w_j <= x_i
-    return below * roots
+    return below * np.sqrt(np.maximum(conv.values, 0.0))
 
 
 def incidence_matrix(s: ElementSubset) -> np.ndarray:
@@ -333,13 +322,10 @@ def ideal_block_split(spec: CombinedSpec):
     """
     if spec.gamma != spec.delta:
         raise ValueError("the block split needs gamma = delta")
-    s = spec.subset
-    a = factor_ideal(s, spec.f, spec.alpha - spec.beta)
-    fpow = np.array(
-        [real_power(spec.f.value_at(i), spec.beta - spec.gamma) for i in s.indices]
-    )
-    b = fpow[:, None] * a[:, : len(s)]
-    c = fpow[:, None] * a[:, len(s) :]
+    s, f = spec.subset, spec.f
+    a = factor_ideal(s, f, spec.alpha - spec.beta)
+    a *= powers_by_value(f.values[list(s.indices)], lambda v: real_power(v, spec.beta - spec.gamma))[:, None]
+    b, c = a[:, : len(s)], a[:, len(s) :]
     return b @ b.T, c @ c.T
 
 

@@ -12,8 +12,8 @@ routine over the pairs of a member set S in O(|S|^2 * N/8) bytes.  The
 join side is the meet side on the order dual: the same set under the
 transposed relation (``leq.T``, Mobius matrix ``mu.T``), renumbered
 i -> N-1-i so that it is again a linear extension, and read back through
-that index map.  The Mobius matrix is one int64 row recursion, and
-divisor labels stay below 2**63.
+that index map.  The Mobius matrix is one int64 row recursion; no bound
+or region needs it.  Divisor labels stay below 2**63.
 """
 
 from __future__ import annotations

@@ -12,20 +12,35 @@ import math
 import numpy as np
 
 from . import bounds, constants, matrices
-from .incidence import PosetFunction, down_convolution, is_semimultiplicative
+from .incidence import PosetFunction, down_convolution, is_semimultiplicative, up_convolution
 from .matrices import CombinedSpec, combined_matrix, matrices_close
 from .poset import chain_poset, divisor_lattice, divisor_poset, divisors_of, from_cover_relations
 from .spectra import eigen_symmetric
 
 
+def _mobius_cases():
+    d60 = divisor_poset(divisors_of(60))
+    diamond = from_cover_relations("abcd", [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")])
+    return (d60, PosetFunction.identity(d60)), (diamond, PosetFunction(diamond, [1, 2, 3, 6]))
+
+
 def _check_mobius():
-    for p in (divisor_poset(divisors_of(60)), from_cover_relations("abcd", [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")])):
-        mu = p.mobius().matrix
-        zeta = p.leq_matrix.astype(np.int64)
-        if not np.array_equal(zeta @ mu, np.eye(len(p), dtype=np.int64)):
+    for p, _ in _mobius_cases():
+        mu, zeta, eye = p.mobius().matrix, p.leq_matrix.astype(np.int64), np.eye(len(p), dtype=np.int64)
+        if not (np.array_equal(zeta @ mu, eye) and np.array_equal(mu @ zeta, eye)):
             return False
-        if not np.array_equal(mu @ zeta, np.eye(len(p), dtype=np.int64)):
-            return False
+    return True
+
+
+def _check_convolutions_by_mobius():
+    # the substitution behind the bounds, against the public Mobius table in ints
+    for p, f in _mobius_cases():
+        mu, s = p.mobius().matrix.astype(object), p.subset(p.elements[1:-1])
+        for a in (0, 1, 2):
+            fa = np.array([int(v) ** a for v in f.values], dtype=object)
+            for conv, want in ((down_convolution(f, a, s), fa @ mu), (up_convolution(f, a, s), fa @ mu.T)):
+                if conv.values.tolist() != [float(want[i]) for i in conv.domain.indices]:
+                    return False
     return True
 
 
@@ -54,14 +69,8 @@ def _check_totient_convolution():
 
 
 def _check_factorizations():
-    lattice = divisor_lattice([36, 8])
-    cases = [
-        (chain_poset(5), None),
-        (from_cover_relations("abcd", [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")]), {"a": 1.0, "b": 2.0, "c": 3.0, "d": 6.0}),
-        (lattice, None),
-    ]
-    for p, mapping in cases:
-        f = PosetFunction.identity(p) if mapping is None else PosetFunction.from_mapping(p, mapping)
+    cases = [(p, PosetFunction.identity(p)) for p in (chain_poset(5), divisor_lattice([36, 8]))]
+    for p, f in cases + [_mobius_cases()[1]]:  # and the diamond, f = 1, 2, 3, 6
         s = p.subset(p.elements)
         a = matrices.factor_ideal(s, f, 1.0)
         if not matrices_close(a @ a.T, matrices.meet_matrix(s, f, 1.0)):
@@ -176,6 +185,7 @@ def _check_semimultiplicative():
 
 CHECKS = [
     ("mobius matrix inverts zeta on both sides", _check_mobius),
+    ("convolutions equal f^a times the mobius matrix", _check_convolutions_by_mobius),
     ("divisor meets/joins vs gcd/lcm", _check_gcd_oracle),
     ("down-convolution totient identity", _check_totient_convolution),
     ("square-root and diagonal factorizations", _check_factorizations),

@@ -3,6 +3,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 import latmat
 
@@ -52,6 +53,16 @@ def divisors12():
 
 
 # -- independent oracles -------------------------------------------------------
+
+
+@st.composite
+def random_posets(draw, max_size=10):
+    """A poset on 0..n-1 from random edges i -> j (i < j), closed transitively
+    and renumbered by from_cover_relations to a linear extension."""
+    n = draw(st.integers(min_value=0, max_value=max_size))
+    pairs = st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0)))
+    edges = draw(st.sets(pairs.filter(lambda e: e[0] < e[1]), min_size=n // 2, max_size=3 * n))
+    return latmat.from_cover_relations(range(n), sorted(edges))
 
 
 def lcm(a, b):

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from latmat import (
     region_meet_closed,
 )
 
-from conftest import euler_phi, jordan_totient
+from conftest import euler_phi, jordan_totient, prime_factors
 
 
 def c_exact(n):
@@ -188,6 +189,32 @@ def test_bounds_need_a_nonzero_f_only_on_s_and_its_closure():
     assert report.holds and 0.0 < report.bound <= kappa
     with pytest.raises(HypothesisError, match="nowhere-zero on S and its order filter; f vanishes at 12"):
         lower_bound_join(spec, c_exact(3))
+
+
+def test_bounds_run_where_the_int64_mobius_table_overflows():
+    # a bottom, 57 antichains of three, each below every element of the next,
+    # and a top: |mu(bottom, x)| doubles per layer, past what the int64 Mobius
+    # table holds; the convolutions substitute on the order relation instead
+    layers = [[f"{k}.{i}" for i in range(3)] for k in range(57)]
+    covers = [("0", x) for x in layers[0]] + [(x, "1") for x in layers[-1]]
+    covers += [(x, y) for lower, upper in zip(layers, layers[1:]) for x in lower for y in upper]
+    p = latmat.from_cover_relations(["0", *sum(layers, []), "1"], covers)
+    with pytest.raises(RuntimeError, match="too large for exact int64"):
+        p.mobius()
+    values = {x: 4.0 ** (k + 1) for k, layer in enumerate(layers) for x in layer}
+    f = PosetFunction.from_mapping(p, {"0": 1.0, "1": 4.0**58, **values})
+    for bound, members in ((lower_bound_meet, ["0", "0.0", "1.0", "2.0"]), (lower_bound_join, ["55.0", "56.0", "1"])):
+        spec = CombinedSpec(1.0, 0.0, 0.0, 0.0, p.subset(members), f)
+        assert bound(spec, c_exact(len(members))).holds
+
+
+def test_negative_integer_exponent_bound_is_correctly_rounded():
+    # the join side of gcd(i, j) on S = {1..20} convolves x**-1 over the
+    # divisors of L = lcm(1..20): x**-1 * prod over p | L/x of (1 - 1/p)
+    top = math.lcm(*range(1, 21))
+    exact = min(Fraction(1, x) * math.prod(1 - Fraction(1, q) for q in prime_factors(top // x)) for x in range(1, 21))
+    report = lower_bound_join(latmat.gcd_power_family(20, 1.0, 0.0), ConstantValue(1.0, "user"))
+    assert report.min_conv == float(exact) == 0.00950133457873396
 
 
 def test_each_spec_is_solved_once(monkeypatch):

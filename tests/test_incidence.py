@@ -1,10 +1,14 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import latmat
 from latmat import PosetFunction, PowerDomainError, down_convolution, up_convolution
 
-from conftest import convolution_double_sum, euler_phi, jordan_totient
+from conftest import convolution_double_sum, euler_phi, jordan_totient, random_posets
 
 
 # -- power rules ---------------------------------------------------------------
@@ -194,6 +198,79 @@ def test_exact_integer_path_matches_float():
     assert f_float.is_integer_valued
     wide = down_convolution(PosetFunction(p, f_float.values + 0.0), 2.0, s)
     assert np.allclose(exact.values, wide.values, rtol=1e-12)
+
+
+# -- substitution against the Mobius table and exact references -------------------
+
+
+@st.composite
+def bounded_cases(draw, values=st.one_of(st.integers(1, 30), st.floats(0.1, 50.0))):
+    """A random poset with a bottom and a top adjoined, an f with the given
+    values, and a member set of one to four elements."""
+    p = draw(random_posets())
+    covers = list(p.covers) + [("bot", x) for x in p.elements] + [(x, "top") for x in p.elements]
+    q = latmat.from_cover_relations(["bot", *p.elements, "top"], covers + [("bot", "top")])
+    f = PosetFunction(q, draw(st.lists(values, min_size=len(q), max_size=len(q))))
+    return f, q.subset(draw(st.lists(st.sampled_from(q.elements), min_size=1, max_size=4, unique=True)))
+
+
+def _mobius_terms(f, alpha, conv, exact):
+    """The terms f(z)**alpha * mu(z, w) of each entry w of a convolution, from
+    the public Mobius table (mu(w, z) on the up side), as domain x domain: in
+    floats, or in Fractions of the powers the library substitutes (exact for
+    integer-valued f and an integer exponent, else the float powers)."""
+    mu = conv.domain.parent.mobius().matrix
+    idx = list(conv.domain.indices)
+    block = mu[np.ix_(idx, idx)] if conv.direction == "down" else mu.T[np.ix_(idx, idx)]
+    if exact and f.is_integer_valued and alpha == int(alpha):
+        fa = [Fraction(int(v)) ** int(alpha) for v in f.values[idx]]
+    else:
+        fa = [Fraction(latmat.real_power(v, alpha)) if exact else latmat.real_power(v, alpha) for v in f.values[idx]]
+    return np.array(fa, dtype=object if exact else np.float64)[:, None] * block
+
+
+def _correctly_rounded(f, alpha, conv):
+    return conv.values.tolist() == [float(x) for x in _mobius_terms(f, alpha, conv, exact=True).sum(axis=0)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(bounded_cases(), st.sampled_from((0.0, 1.0, 2.0, 3.0, -1.0, -2.0, 0.5, -1.5, 2.5)))
+def test_substitution_matches_the_mobius_route(case, alpha):
+    f, s = case
+    for conv in (down_convolution(f, alpha, s), up_convolution(f, alpha, s)):
+        terms = _mobius_terms(f, alpha, conv, exact=False)
+        assert np.all(np.abs(conv.values - terms.sum(axis=0)) <= 1e-13 * np.abs(terms).sum(axis=0))
+        assert _correctly_rounded(f, alpha, conv)
+
+
+@settings(max_examples=80, deadline=None)
+@given(bounded_cases(st.integers(-9, 9).filter(bool)), st.integers(-3, 3))
+def test_exact_path_is_correctly_rounded(case, k):
+    # integer f and an integer exponent of either sign: each entry is the
+    # float nearest to its exact rational value
+    f, s = case
+    for conv in (down_convolution(f, float(k), s), up_convolution(f, float(k), s)):
+        assert _correctly_rounded(f, float(k), conv)
+
+
+def test_exact_path_on_divisors_of_720():
+    p = latmat.divisor_poset(latmat.divisors_of(720))
+    f = PosetFunction.identity(p)
+    s = p.subset([12, 30, 48])
+    for k in range(-3, 4):
+        for conv in (down_convolution(f, float(k), s), up_convolution(f, float(k), s)):
+            assert _correctly_rounded(f, float(k), conv)
+
+
+def test_zero_value_in_the_domain():
+    p = latmat.chain_poset(3)
+    f = PosetFunction(p, [0.0, 2.0, 5.0])
+    s = p.subset([1, 2, 3])
+    assert down_convolution(f, 0.0, s).values.tolist() == [1.0, 0.0, 0.0]  # 0**0 = 1
+    assert down_convolution(f, 2.0, s).values.tolist() == [0.0, 4.0, 21.0]
+    for alpha in (-1.0, -0.5):
+        with pytest.raises(PowerDomainError, match="zero base with a negative exponent"):
+            down_convolution(f, alpha, s)
 
 
 # -- semimultiplicativity --------------------------------------------------------

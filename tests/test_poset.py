@@ -13,7 +13,7 @@ import latmat
 from latmat import LatticeError, PosetError
 from latmat.poset import _NO_BOUND, _NOT_UNIQUE, _OK, _pair_meets
 
-from conftest import lcm
+from conftest import lcm, random_posets
 
 
 def test_diamond_construction(diamond):
@@ -291,16 +291,6 @@ def test_divisor_lattice_property(values):
 
 
 # -- pinned against brute-force references ------------------------------------
-
-
-@st.composite
-def random_posets(draw, max_size=10):
-    """A poset on 0..n-1 from random edges i -> j (i < j), closed transitively
-    and renumbered by from_cover_relations to a linear extension."""
-    n = draw(st.integers(min_value=0, max_value=max_size))
-    pairs = st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0)))
-    edges = draw(st.sets(pairs.filter(lambda e: e[0] < e[1]), min_size=n // 2, max_size=3 * n))
-    return latmat.from_cover_relations(range(n), sorted(edges))
 
 
 @settings(max_examples=100, deadline=None)
