@@ -1,13 +1,14 @@
 """Numerical kernels: one Jacobi eigensolver over stacks of symmetric
 matrices, and the triangular-mask scan built on it.
 
-A single matrix is a stack of one; the K(n) scan solves 16384 Gram matrices
-per call.  The sweep follows the round-robin parallel ordering of Brent &
-Luk (1985): each step rotates n // 2 disjoint index pairs, so a step is a
-handful of numpy operations on the whole stack, and n - 1 steps (n for odd
-n) rotate every pair once.  Between steps the stack is reordered so that
-the next step's pairs are adjacent rows and columns, which the rotation
-updates in place.
+A single matrix is a stack of one; the K(n) scan bounds every Gram matrix
+in integers and solves only the few that the bounds cannot rule out, as one
+stack per batch of 16384 masks.  The sweep follows the round-robin parallel
+ordering of Brent & Luk (1985): each step rotates n // 2 disjoint index
+pairs, so a step is a handful of numpy operations on the whole stack, and
+n - 1 steps (n for odd n) rotate every pair once.  Between steps the stack
+is reordered so that the next step's pairs are adjacent rows and columns,
+which the rotation updates in place.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import numpy as np
 JACOBI_TOL = 1e-12
 JACOBI_MAX_SWEEPS = 50
 _SCAN_BATCH = 1 << 14
+_SCAN_SEEDS = 2  # per side, in a range's first batch
 
 
 class SpectraError(ValueError):
@@ -88,15 +90,19 @@ def _jacobi_stack(a: np.ndarray, tol: float):
     np.ldexp(work, -shift, out=work)
 
     # Frobenius norms of each matrix and of its off-diagonal part, summed row
-    # by row, in the same order for every B > 1, so a scan's stopping
-    # decisions do not depend on how its masks are batched.  The off-diagonal
-    # mass is summed directly: total minus diagonal would cancel
+    # by row in the same order for every B, so a matrix's stopping decisions
+    # do not depend on the stack it is in.  A plain sum would do so for
+    # B > 1, but over a stack of one it sums pairwise from 8 rows on.  The
+    # off-diagonal mass is summed directly: total minus diagonal would cancel
     # catastrophically near convergence.
+    def rowsum(x):
+        return np.add.accumulate(x, axis=0)[-1] if n else x.sum(axis=0)
+
     def norms(x):
         sq = x * x
-        total = np.sqrt(sq.sum(axis=0).sum(axis=0))
+        total = np.sqrt(rowsum(rowsum(sq)))
         sq[diag, diag] = 0.0
-        return total, np.sqrt(sq.sum(axis=0).sum(axis=0))
+        return total, np.sqrt(rowsum(rowsum(sq)))
 
     with np.errstate(over="ignore"):  # an infinite norm stops at once
         fro, off = norms(work)
@@ -178,13 +184,41 @@ def mask_to_matrix(n: int, mask: int) -> np.ndarray:
     return x
 
 
+def _solve_grams(n: int, gram: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a (n, n, B) stack of K(n) Gram matrices, one row each.
+
+    Raises SpectraError naming the first mask whose matrix has not converged.
+    """
+    eigs, _, off, stuck = _jacobi_stack(gram.transpose(2, 0, 1), JACOBI_TOL)
+    if stuck.any():
+        k = int(np.argmax(stuck))
+        raise SpectraError(
+            f"Jacobi iteration did not converge in {JACOBI_MAX_SWEEPS} sweeps "
+            f"on the Gram matrix of K({n}) mask {int(masks[k])} (residual {off[k]:.3e})"
+        )
+    return eigs
+
+
 def scan_mask_range(n: int, lo: int, hi: int):
     """Scan Gram spectra of all masks in [lo, hi); track both extrema.
 
     Returns (min_value, min_mask, max_value, max_mask, scanned).  Ties keep
     the smallest mask because enumeration ascends and updates are strict.
-    Raises SpectraError, naming the first such mask, if a Gram matrix has
-    not converged after JACOBI_MAX_SWEEPS sweeps.
+
+    Every mask is bounded in exact integer arithmetic, and Jacobi runs only
+    on the masks the bounds cannot rule out.  With X the mask's matrix,
+    G = X X^T and Y = X^-1 (an integer matrix, by forward substitution),
+    lambda_min(G) >= 1 / trace(G^-1) = 1 / ||Y||_F^2 and
+    lambda_max(G) <= ||G||_F.  A mask is solved unless its bound is worse, by
+    more than slack = 1e-9 ||G||_F, than the best value solved so far in
+    [lo, hi); a range's first batch takes that value from its _SCAN_SEEDS
+    masks with the best bounds on each side.  Jacobi stops once the
+    off-diagonal norm is at most 1e-12 ||G||_F, which bounds its error far
+    inside the slack, so a skipped mask's eigenvalue would be strictly worse
+    than one already solved: the result is that of solving every mask, bit
+    for bit, since a matrix's eigenvalues do not depend on the stack it is
+    solved in.  Raises SpectraError, naming the mask, if a solved Gram matrix
+    has not converged after JACOBI_MAX_SWEEPS sweeps.
     """
     rows, cols = tri_positions(n)
     shifts = np.arange(rows.shape[0], dtype=np.int64)
@@ -193,18 +227,34 @@ def scan_mask_range(n: int, lo: int, hi: int):
     best_max, best_max_mask = -np.inf, 0
     for start in range(lo, hi, _SCAN_BATCH):
         masks = np.arange(start, min(start + _SCAN_BATCH, hi), dtype=np.int64)
-        x = np.zeros((masks.shape[0], n, n))
-        x[:, diag, diag] = 1.0
-        x[:, rows, cols] = (masks[:, None] >> shifts[None, :]) & 1
-        gram = x @ x.transpose(0, 2, 1)
-        del x  # peak memory: one stack outside the solver
-        eigs, _, off, stuck = _jacobi_stack(gram, JACOBI_TOL)
-        if stuck.any():
-            k = int(np.argmax(stuck))
-            raise SpectraError(
-                f"Jacobi iteration did not converge in {JACOBI_MAX_SWEEPS} sweeps "
-                f"on the Gram matrix of K({n}) mask {int(masks[k])} (residual {off[k]:.3e})"
-            )
+        # batch last, as the solver works: each step below is one numpy
+        # operation on runs of B contiguous numbers
+        x = np.zeros((n, n, masks.shape[0]))
+        x[diag, diag] = 1.0
+        x[rows, cols] = (masks >> shifts[:, None]) & 1
+        gram = np.empty_like(x)
+        y = np.zeros_like(x)
+        y[diag, diag] = 1.0
+        for i in range(n):
+            for j in range(i + 1):  # row j of X is zero past column j
+                gram[i, j] = gram[j, i] = (x[i, : j + 1] * x[j, : j + 1]).sum(axis=0)
+            y[i, :i] = -(x[i, :i, None] * y[:i, :i]).sum(axis=0)
+        del x  # peak memory: the bounds need only G and Y
+        # integers below 2**53, so exact: Y's entries are at most F_n in size
+        inv_norm = np.einsum("ijb,ijb->b", y, y)
+        del y
+        fro = np.sqrt(np.einsum("ijb,ijb->b", gram, gram))
+        slack = 1e-9 * fro
+        t_min, t_max = best_min, best_max
+        if start == lo:
+            seeds = np.union1d(np.argsort(inv_norm)[-_SCAN_SEEDS:], np.argsort(fro)[-_SCAN_SEEDS:])
+            eigs = _solve_grams(n, gram[:, :, seeds], masks[seeds])
+            t_min, t_max = eigs[:, 0].min(), eigs[:, -1].max()
+        keep = (1.0 / inv_norm <= t_min + slack) | (fro >= t_max - slack)
+        masks = masks[keep]
+        if not masks.size:
+            continue
+        eigs = _solve_grams(n, gram[:, :, keep], masks)
         i = int(np.argmin(eigs[:, 0]))
         if eigs[i, 0] < best_min:
             best_min, best_min_mask = float(eigs[i, 0]), int(masks[i])

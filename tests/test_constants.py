@@ -251,3 +251,17 @@ def test_bound_ordering_small():
         assert c <= 1.0 + 1e-12
         assert 1.0 <= C + 1e-12
         assert C <= latmat.t_n(n) + 1e-12
+
+
+def test_Cn_closed_form_and_all_ones_witness(scan_table):
+    # X X^T <= L L^T entrywise, with L the all-ones lower triangle, so by
+    # Perron-Frobenius the all-ones mask maximizes; L L^T is the MIN matrix,
+    # whose largest eigenvalue is 1 / (4 sin^2(pi / (4n + 2)))
+    for n in scan_table["results"]:
+        result = latmat.search_Cn(n)
+        gram = result.witness.gram().astype(np.float64)
+        # the benchmark oracle's eigenvalue tolerance: the stopping rule by
+        # Weyl's inequality, plus rounding over at most 50 sweeps
+        tol = (1e-12 + 50 * n * np.finfo(np.float64).eps) * np.linalg.norm(gram)
+        assert abs(result.value - 1.0 / (4.0 * math.sin(math.pi / (4 * n + 2)) ** 2)) <= tol
+        assert result.witness.bits == (1 << (n * (n - 1) // 2)) - 1

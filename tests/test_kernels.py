@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,8 @@ def _stack_cases():
     yield np.array([[[2.0, 1.0], [1.0, 2.0]], [[1.0, -3.0], [-3.0, 1.0]]])  # n = 2
     odd = rng.normal(size=(5, 7, 7))
     yield odd + odd.transpose(0, 2, 1)  # odd n: one index sits out each step
+    big = rng.normal(size=(20, 12, 12))
+    yield big + big.transpose(0, 2, 1)  # 8 rows or more: norms summed row by row
     yield np.diag([3.0, -1.0, 2.0, 0.5])[None]  # already diagonal: every a_pq = 0
     yield np.array([[[1e300, 1.0], [1.0, -1e300]]])  # huge tau, infinite norm
     big = np.zeros((4, 4))
@@ -68,7 +72,7 @@ def test_batch_jacobi_matches_scalar():
         for k in range(mats.shape[0]):
             w, k_sweeps, k_off = _kernels.jacobi_eigenvalues(mats[k])
             assert np.array_equal(batch_eigs[k], w)
-            assert k_sweeps == sweeps[k] and k_off == pytest.approx(off[k], rel=1e-12, abs=0)
+            assert k_sweeps == sweeps[k] and k_off == off[k]
             lapack = np.linalg.eigvalsh(mats[k])
             scale = np.abs(lapack).max()
             assert np.allclose(w, lapack, rtol=0, atol=1e-12 * scale)
@@ -89,3 +93,104 @@ def test_scan_partial_range():
     best_min = min(left[0], right[0])
     assert whole[0] == best_min
     assert whole[4] == left[4] + right[4] == 64
+
+
+# -- the integer bounds behind the scan's filter -------------------------------
+
+
+def _inverse_ints(n, bits):
+    """X^-1 of a K(n) mask in Python ints, by forward substitution."""
+    x = [[int(i == j) for j in range(n)] for i in range(n)]
+    for k, (i, j) in enumerate((i, j) for i in range(1, n) for j in range(i)):
+        x[i][j] = (bits >> k) & 1
+    y = [[int(i == j) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i):
+            y[i][j] = -sum(x[i][k] * y[k][j] for k in range(j, i))
+    return y
+
+
+def test_gram_bounds_hold_over_kn():
+    # lambda_min(G) >= 1 / ||X^-1||_F^2 and lambda_max(G) <= ||G||_F, with
+    # G = X X^T, on every member of K(n)
+    for n in range(1, 6):
+        for bits in range(1 << (n * (n - 1) // 2)):
+            x = _kernels.mask_to_matrix(n, bits)
+            y = np.array(_inverse_ints(n, bits))
+            assert np.array_equal(x @ y, np.eye(n, dtype=np.int64))
+            gram = x @ x.T
+            inv_norm = int((y * y).sum())
+            fro = math.sqrt(int((gram * gram).sum()))
+            w = np.linalg.eigvalsh(gram.astype(np.float64))
+            slack = 1e-12 * fro  # eigvalsh's error
+            assert w[0] >= 1.0 / inv_norm - slack
+            assert w[-1] <= fro + slack
+
+
+def test_inverse_norm_maximum_is_phi_n(scan_table):
+    # max over K(n) of ||X^-1||_F^2 is Phi_n = n + F_n^2 - [n odd], attained
+    # at the c_n witness
+    fib = [0, 1]
+    while len(fib) <= 6:
+        fib.append(fib[-1] + fib[-2])
+    phis = []
+    for n in range(1, 7):
+        norms = [
+            sum(v * v for row in _inverse_ints(n, bits) for v in row)
+            for bits in range(1 << (n * (n - 1) // 2))
+        ]
+        phi = n + fib[n] ** 2 - n % 2
+        assert max(norms) == phi
+        assert norms[scan_table["results"][n][0].witness.bits] == phi
+        phis.append(phi)
+    assert phis == [1, 3, 6, 13, 29, 70]
+
+
+# -- the filtered scan against solving every mask ------------------------------
+
+
+def _scan_unfiltered(n, lo, hi):
+    """Reference for scan_mask_range: Jacobi on every mask's Gram matrix in
+    one stack, the first (smallest) mask winning a tie."""
+    if lo == hi:
+        return np.inf, 0, -np.inf, 0, 0
+    rows, cols = _kernels.tri_positions(n)
+    masks = np.arange(lo, hi, dtype=np.int64)
+    x = np.zeros((hi - lo, n, n))
+    x[:, np.arange(n), np.arange(n)] = 1.0
+    x[:, rows, cols] = (masks[:, None] >> np.arange(rows.shape[0])) & 1
+    eigs, _, _, stuck = _kernels._jacobi_stack(x @ x.transpose(0, 2, 1), _kernels.JACOBI_TOL)
+    assert not stuck.any()
+    i, j = int(np.argmin(eigs[:, 0])), int(np.argmax(eigs[:, -1]))
+    return float(eigs[i, 0]), lo + i, float(eigs[j, -1]), lo + j, hi - lo
+
+
+def _filter_ranges():
+    rng = np.random.default_rng(23)
+    for n in (5, 6):
+        total = 1 << (n * (n - 1) // 2)
+        yield n, 0, total
+        for _ in range(6):
+            lo = int(rng.integers(0, total))
+            yield n, lo, int(rng.integers(lo, min(total, lo + 4096) + 1))
+        # shorter than the seeds, and empty
+        for width in (0, 1, 2, 3, 2 * _kernels._SCAN_SEEDS + 1):
+            lo = int(rng.integers(0, total - width))
+            yield n, lo, lo + width
+    # neither global witness inside: K(5)'s are 685 and 1023, K(6)'s 22189
+    # and 32767
+    yield 5, 0, 685
+    yield 5, 686, 1023
+    yield 6, 0, 22189
+    yield 6, 22190, 32767
+
+
+def test_filtered_scan_equals_solving_every_mask():
+    for n, lo, hi in _filter_ranges():
+        assert _kernels.scan_mask_range(n, lo, hi) == _scan_unfiltered(n, lo, hi), (n, lo, hi)
+
+
+def test_filtered_scan_across_batch_boundaries(monkeypatch):
+    monkeypatch.setattr(_kernels, "_SCAN_BATCH", 64)
+    for n, lo, hi in ((5, 0, 1024), (5, 600, 700), (6, 22100, 22500), (6, 32700, 32768)):
+        assert _kernels.scan_mask_range(n, lo, hi) == _scan_unfiltered(n, lo, hi), (n, lo, hi)
