@@ -60,10 +60,10 @@ class ConstantValue:
     provenance: str
 
 
-def resolve_c(n: int, choice: str, **search_kwargs) -> ConstantValue:
+def resolve_c(n: int, choice: str) -> ConstantValue:
     """Resolve a c-constant selector: exact | y0 | thm52 | thm53 | number."""
     if choice == "exact":
-        return ConstantValue(constants.search_cn(n, **search_kwargs).value, "exact")
+        return ConstantValue(constants.search_cn(n).value, "exact")
     if choice == "y0":
         return ConstantValue(constants.kappa_y0(n), "y0")
     if choice == "thm52":
@@ -76,10 +76,14 @@ def resolve_c(n: int, choice: str, **search_kwargs) -> ConstantValue:
         raise ValueError(f"unknown c constant selector {choice!r}") from None
 
 
-def resolve_C(n: int, choice: str, **search_kwargs) -> ConstantValue:
-    """Resolve a C-constant selector: exact | tn | number."""
+def resolve_C(n: int, choice: str) -> ConstantValue:
+    """Resolve a C-constant selector: exact | tn | number.
+
+    exact is one solve of the MIN matrix (constants.search_Cn), with no scan
+    and no size cap.
+    """
     if choice == "exact":
-        return ConstantValue(constants.search_Cn(n, **search_kwargs).value, "exact")
+        return ConstantValue(constants.search_Cn(n).value, "exact")
     if choice == "tn":
         return ConstantValue(constants.t_n(n), "tn")
     try:

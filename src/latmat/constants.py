@@ -1,10 +1,12 @@
 """Extremal eigenvalue constants over unit-lower-triangular 0/1 matrices.
 
 K(n) is the set of n x n lower triangular 0/1 matrices with unit diagonal.
-``search_cn`` minimizes the smallest Gram eigenvalue over K(n) and
-``search_Cn`` maximizes the largest one; both share a single exhaustive scan
-per n.  The scan is embarrassingly parallel over mask ranges, merges
-deterministically, and can checkpoint per chunk for crash-safe resume.
+``search_cn`` minimizes the smallest Gram eigenvalue over K(n) by an
+exhaustive scan, seeded with the value of the conjectured witness y0; the
+scan is embarrassingly parallel over mask ranges, merges deterministically,
+and can checkpoint per chunk for crash-safe resume.  ``search_Cn`` maximizes
+the largest one, which the all-ones mask attains, so it is one eigensolve
+and needs no scan.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import mask_to_matrix, scan_mask_range
+from ._kernels import gram_eigenvalues, mask_to_matrix, scan_mask_range
 from .spectra import eigen_symmetric
 
 DEFAULT_MAX_N = 8
@@ -86,23 +88,8 @@ def enumerate_kn(n: int, cap: int | None = None):
 # -- exhaustive scan ----------------------------------------------------------
 
 
-def _merge(parts):
-    """Deterministic merge of per-range scan results (in range order)."""
-    best_min, best_min_mask = math.inf, 0
-    best_max, best_max_mask = -math.inf, 0
-    scanned = 0
-    for bm, bmm, bx, bxm, cnt in parts:
-        if bm < best_min:
-            best_min, best_min_mask = bm, bmm
-        if bx > best_max:
-            best_max, best_max_mask = bx, bxm
-        scanned += cnt
-    return best_min, best_min_mask, best_max, best_max_mask, scanned
-
-
 def _chunk_worker(args):
-    n, lo, hi = args
-    return scan_mask_range(n, lo, hi)
+    return scan_mask_range(*args)
 
 
 def _checkpoint_path(directory, n, chunk):
@@ -110,17 +97,15 @@ def _checkpoint_path(directory, n, chunk):
 
 
 def _write_checkpoint(path, n, lo, hi, part):
-    bm, bmm, bx, bxm, cnt = part
+    value, mask = part
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
         fh.write(f"n={n}\n")
         fh.write(f"lo={lo}\n")
         fh.write(f"hi={hi}\n")
-        fh.write(f"scanned={cnt}\n")
-        fh.write(f"min_value={bm:.17g}\n")
-        fh.write(f"min_pattern={bmm}\n")
-        fh.write(f"max_value={bx:.17g}\n")
-        fh.write(f"max_pattern={bxm}\n")
+        fh.write(f"scanned={hi - lo}\n")
+        fh.write(f"min_value={value:.17g}\n")
+        fh.write(f"min_pattern={mask}\n")
     os.replace(tmp, path)  # write-then-rename keeps resume crash-safe
 
 
@@ -138,13 +123,7 @@ def _read_checkpoint(path, n, lo, hi):
     try:
         if int(fields["n"]) != n or int(fields["lo"]) != lo or int(fields["hi"]) != hi:
             return None
-        return (
-            float(fields["min_value"]),
-            int(fields["min_pattern"]),
-            float(fields["max_value"]),
-            int(fields["max_pattern"]),
-            int(fields["scanned"]),
-        )
+        return float(fields["min_value"]), int(fields["min_pattern"])
     except (KeyError, ValueError):
         return None
 
@@ -156,8 +135,14 @@ def full_scan(
     chunks: int | None = None,
     cap: int | None = None,
 ):
-    """Scan all of K(n) once; returns (min SearchResult, max SearchResult)."""
+    """Scan all of K(n) once; returns (min SearchResult, max SearchResult).
+
+    The scan looks for c_n only.  Its threshold is y0's value, solved by the
+    same Jacobi as every mask, so each range keeps only masks that reach it
+    (y0's range at least y0 itself); the max result is ``search_Cn(n)``.
+    """
     _check_n(n, cap)
+    threshold = float(gram_eigenvalues(n, y0_mask(n).bits)[0])
     total = 1 << (n * (n - 1) // 2)
     if chunks is None:
         if n >= 8:
@@ -185,23 +170,20 @@ def full_scan(
     if jobs > 1 and len(pending) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             for (k, lo, hi), part in zip(
-                pending, pool.map(_chunk_worker, [(n, lo, hi) for _, lo, hi in pending])
+                pending, pool.map(_chunk_worker, [(n, lo, hi, threshold) for _, lo, hi in pending])
             ):
                 parts[k] = part
                 if checkpoint_dir is not None:
                     _write_checkpoint(_checkpoint_path(checkpoint_dir, n, k), n, lo, hi, part)
     else:
         for k, lo, hi in pending:
-            part = scan_mask_range(n, lo, hi)
+            part = scan_mask_range(n, lo, hi, threshold)
             parts[k] = part
             if checkpoint_dir is not None:
                 _write_checkpoint(_checkpoint_path(checkpoint_dir, n, k), n, lo, hi, part)
 
-    bm, bmm, bx, bxm, scanned = _merge(parts)
-    return (
-        SearchResult(n, "min", bm, TriangularMask(n, bmm), scanned),
-        SearchResult(n, "max", bx, TriangularMask(n, bxm), scanned),
-    )
+    value, mask = min(parts)  # the smallest value, the smallest mask winning a tie
+    return SearchResult(n, "min", value, TriangularMask(n, mask), total), search_Cn(n)
 
 
 _scan_cache: dict = {}
@@ -220,11 +202,24 @@ def search_cn(n: int, **kwargs) -> SearchResult:
     return _cached_scan(n)[0]
 
 
-def search_Cn(n: int, **kwargs) -> SearchResult:
-    """Global maximum of the largest Gram eigenvalue over K(n), with witness."""
-    if kwargs:
-        return full_scan(n, **kwargs)[1]
-    return _cached_scan(n)[1]
+def search_Cn(n: int) -> SearchResult:
+    """Global maximum of the largest Gram eigenvalue over K(n), with witness.
+
+    The all-ones mask attains it, so this is one eigensolve, for any n >= 1.
+    With L the all-ones lower triangle, every X in K(n) has 0 <= X <= L
+    entrywise, hence 0 <= X X^T <= L L^T entrywise.  By Perron-Frobenius the
+    spectral radius of a nonnegative matrix is monotone in its entries, and
+    a Gram matrix's spectral radius is its largest eigenvalue, so
+    lambda_max(X X^T) <= lambda_max(L L^T).  L L^T is the MIN matrix
+    [min(i, j)].  The proof covers every mask, so all 2^(n(n-1)/2) count as
+    scanned.
+    """
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    k = n * (n - 1) // 2
+    idx = np.arange(1, n + 1)
+    value = eigen_symmetric(np.minimum.outer(idx, idx).astype(np.float64)).max
+    return SearchResult(n, "max", value, TriangularMask(n, (1 << k) - 1), 1 << k)
 
 
 def append_ledger(path, result: SearchResult) -> None:
@@ -334,9 +329,34 @@ class ConjectureCheck:
     kappa_y0: float
 
 
+def y0_inverse(n: int) -> np.ndarray:
+    """y0^-1 in Python ints (an object array), by forward substitution."""
+    y = y0_matrix(n).astype(object)
+    inv = np.eye(n, dtype=object)
+    for i in range(1, n):
+        inv[i, :i] = -y[i, :i].dot(inv[:i, :i])
+    return inv
+
+
 def kappa_y0(n: int) -> float:
-    """Smallest eigenvalue of the conjectured extremal Gram matrix."""
-    return float(eigen_symmetric(y0_mask(n).gram().astype(np.float64)).min)
+    """Smallest eigenvalue of the conjectured extremal Gram matrix y0 y0^T.
+
+    It is computed as 1 / lambda_max(Y0^T Y0), with Y0 = y0^-1, since
+    (y0 y0^T)^-1 = Y0^T Y0.  Y0^T Y0 is formed in Python ints and rounded
+    once per entry, and its largest eigenvalue has a small relative error;
+    the smallest eigenvalue of y0 y0^T itself drowns in rounding as n grows
+    (a direct solve gives -4.8e-16 at n = 60, against 4.17e-25).  Raises
+    ValueError where the entries or the eigenvalue overflow float64.
+    """
+    inv = y0_inverse(n)
+    try:
+        with np.errstate(over="ignore"):  # an infinite eigenvalue raises below
+            top = eigen_symmetric((inv.T @ inv).astype(np.float64)).max
+    except OverflowError:
+        top = math.inf
+    if not math.isfinite(top):
+        raise ValueError(f"kappa_y0({n}): (y0 y0^T)^-1 overflows float64")
+    return 1.0 / top
 
 
 def verify_conjecture(n: int, **search_kwargs) -> ConjectureCheck:

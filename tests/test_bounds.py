@@ -220,8 +220,8 @@ def test_negative_integer_exponent_bound_is_correctly_rounded():
 def test_each_spec_is_solved_once(monkeypatch):
     # both sides of a bound, and both regions, share the spec's one spectrum
     calls = []
-    solve = latmat._kernels._jacobi_stack
-    monkeypatch.setattr(latmat._kernels, "_jacobi_stack", lambda a, tol: calls.append(1) or solve(a, tol))
+    solve = latmat.spectra.jacobi_eigenvalues
+    monkeypatch.setattr(latmat.spectra, "jacobi_eigenvalues", lambda a, tol: calls.append(1) or solve(a, tol))
     spec = latmat.gcd_power_family(6, 1.0, 0.0)
     lower_bound_meet(spec, ConstantValue(0.1, "user"))
     lower_bound_join(spec, ConstantValue(0.1, "user"))

@@ -149,6 +149,14 @@ def test_region_auto(capsys):
     assert "side: meet" in out and "side: join" in out
 
 
+def test_region_exact_past_the_scan_cap(capsys):
+    # C_n is one solve of the MIN matrix, so --C exact needs no scan of K(12)
+    divisors = "divisors:1,2,3,4,5,6,10,12,15,20,30,60"
+    assert run(["region", "--poset", divisors, "--func", "N", "--exp", "1,0,0,0", "--C", "exact"]) == 0
+    out = capsys.readouterr().out
+    assert "C_provenance: exact" in out and "contained: true" in out
+
+
 def test_region_side_violation_exits_2(capsys):
     code = run(["region", "--poset", "divisors:1,2,3,4,6,12", "--set", "2,3",
                 "--func", "N", "--exp", "1,0,0,0", "--C", "exact", "--side", "meet"])
@@ -161,6 +169,12 @@ def test_constants_command(capsys):
     out = capsys.readouterr().out
     assert "t_n: 5.09901" in out
     assert "cn_lower_bound_thm53: 0.0769230" in out
+
+
+def test_constants_command_kappa_y0_positive_at_60(capsys):
+    assert run(["constants", "--n", "60"]) == 0
+    fields = dict(line.split(": ") for line in capsys.readouterr().out.splitlines())
+    assert 0.0 < float(fields["kappa_y0"]) < 1e-24
 
 
 def test_search_command_with_ledger(tmp_path, capsys):

@@ -119,8 +119,23 @@ def test_checkpoint_file_format(tmp_path):
     latmat.full_scan(3, checkpoint_dir=d, chunks=2)
     name = sorted(os.listdir(d))[0]
     content = open(os.path.join(d, name)).read()
-    for key in ("n=", "lo=", "hi=", "scanned=", "min_value=", "min_pattern=", "max_value=", "max_pattern="):
+    for key in ("n=", "lo=", "hi=", "scanned=", "min_value=", "min_pattern="):
         assert key in content
+
+
+def test_checkpoint_with_old_keys_resumes(tmp_path):
+    # a file that also holds the max fields of an earlier format is read, not
+    # rescanned: its chunk's result is the one the merge sees
+    d = str(tmp_path / "ck")
+    os.makedirs(d)
+    path = os.path.join(d, "scan_n3_chunk00000.txt")
+    with open(path, "w") as fh:
+        fh.write("n=3\nlo=0\nhi=4\nscanned=4\nmin_value=0.125\nmin_pattern=2\n")
+        fh.write("max_value=5.5\nmax_pattern=3\n")
+    rmin, rmax = latmat.full_scan(3, checkpoint_dir=d, chunks=2)
+    assert (rmin.value, rmin.witness.bits) == (0.125, 2)
+    assert rmax.value == latmat.search_Cn(3).value and rmax.witness.bits == 7
+    assert "max_value=5.5" in open(path).read()  # left as it was
 
 
 def test_ledger_append(tmp_path):
@@ -213,6 +228,46 @@ def test_n0_frobenius_direct_vs_closed():
         direct = latmat.n0_frobenius(n)
         closed = latmat.n0_frobenius_closed_form(n)
         assert abs(direct - closed) <= 1e-12 * max(1.0, closed)
+
+
+def test_y0_inverse_norm_is_phi_n():
+    # ||y0^-1||_F^2 = Phi_n = n + F_n^2 - [n odd], in Python ints
+    fib = [0, 1]
+    while len(fib) <= 100:
+        fib.append(fib[-1] + fib[-2])
+    for n in range(1, 101):
+        inv = constants.y0_inverse(n)
+        if n <= 30:
+            assert np.array_equal(latmat.y0_matrix(n).astype(object) @ inv, np.eye(n, dtype=int))
+        assert sum(v * v for v in inv.flat) == n + fib[n] ** 2 - n % 2, n
+
+
+# lambda_min(y0 y0^T) to 25 digits, from mpmath's eigsy on the integer Gram
+# matrix at 80 and at 120 decimal digits (the two agree)
+KAPPA_Y0_DIGITS = {
+    20: 2.185064723447486065460093e-8,
+    40: 9.549019590715399194242181e-17,
+    60: 4.173046022281981835402168e-25,
+}
+
+
+def test_kappa_y0_reference_digits():
+    for n, want in KAPPA_Y0_DIGITS.items():
+        # kappa_y0 is 1 / lambda_max of a matrix whose Frobenius norm is at
+        # most sqrt(n) lambda_max: the stopping rule by Weyl's inequality,
+        # plus rounding over at most 50 sweeps, bounds its relative error
+        rtol = (1e-12 + 50 * n * np.finfo(np.float64).eps) * math.sqrt(n)
+        assert abs(latmat.kappa_y0(n) - want) <= rtol * want, n
+
+
+def test_kappa_y0_overflow_raises(monkeypatch):
+    # entries past float64 (2**1200), or a largest eigenvalue past it
+    # (9 * 2**1022, from the entries 3 * 2**1022 of a rank-one 3 x 3
+    # matrix), raise rather than return 0
+    for big in ([[2**600, 0], [0, 1]], [[2**511] * 3] * 3):
+        monkeypatch.setattr(constants, "y0_inverse", lambda n, big=big: np.array(big, dtype=object))
+        with pytest.raises(ValueError, match="overflows float64"):
+            latmat.kappa_y0(2)
 
 
 def test_verify_conjecture_trivial_and_small():

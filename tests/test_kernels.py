@@ -61,38 +61,41 @@ def _stack_cases():
 
 
 def test_batch_jacobi_matches_scalar():
-    # the one kernel: each matrix of a stack gets the eigenvalues of its solve
-    # as a stack of one, bit for bit, and agrees with LAPACK
+    # the one kernel agrees with LAPACK on every matrix of the cases, and
+    # leaves its input untouched
     for mats in _stack_cases():
         before = mats.copy()
-        batch_eigs, sweeps, off, stuck = _kernels._jacobi_stack(mats, _kernels.JACOBI_TOL)
-        assert np.array_equal(mats, before)  # input untouched
-        assert not stuck.any()
-        assert batch_eigs.shape == mats.shape[:2]
         for k in range(mats.shape[0]):
-            w, k_sweeps, k_off = _kernels.jacobi_eigenvalues(mats[k])
-            assert np.array_equal(batch_eigs[k], w)
-            assert k_sweeps == sweeps[k] and k_off == off[k]
+            w, sweeps, off = _kernels.jacobi_eigenvalues(mats[k])
+            assert w.shape == mats.shape[1:2]
+            assert 0 <= sweeps <= _kernels.JACOBI_MAX_SWEEPS and off >= 0.0
             lapack = np.linalg.eigvalsh(mats[k])
             scale = np.abs(lapack).max()
             assert np.allclose(w, lapack, rtol=0, atol=1e-12 * scale)
             assert np.array_equal(mats[k], before[k])
+        assert np.array_equal(mats, before)  # input untouched
+
+
+def _y0_value(n):
+    """The scan's threshold: y0's Gram matrix, solved as every mask is."""
+    return float(_kernels.gram_eigenvalues(n, latmat.constants.y0_mask(n).bits)[0])
 
 
 def test_scan_fails_loudly_on_nonconvergence(monkeypatch):
     monkeypatch.setattr(_kernels, "JACOBI_MAX_SWEEPS", 1)
     with pytest.raises(latmat.SpectraError, match=r"K\(4\) mask \d+"):
-        _kernels.scan_mask_range(4, 0, 64)
+        _kernels.scan_mask_range(4, 0, 64, 1.0)
 
 
 def test_scan_partial_range():
-    # a range split must merge to the same result as one pass
-    whole = _kernels.scan_mask_range(4, 0, 64)
-    left = _kernels.scan_mask_range(4, 0, 33)
-    right = _kernels.scan_mask_range(4, 33, 64)
-    best_min = min(left[0], right[0])
-    assert whole[0] == best_min
-    assert whole[4] == left[4] + right[4] == 64
+    # a range split must merge to the same result as one pass; y0 (mask 45)
+    # is in the right half, and no mask of the left half reaches its value
+    threshold = _y0_value(4)
+    whole = _kernels.scan_mask_range(4, 0, 64, threshold)
+    left = _kernels.scan_mask_range(4, 0, 33, threshold)
+    right = _kernels.scan_mask_range(4, 33, 64, threshold)
+    assert whole == min(left, right) == right == (threshold, 45)
+    assert left == (np.inf, -1)
 
 
 # -- the integer bounds behind the scan's filter -------------------------------
@@ -127,6 +130,22 @@ def test_gram_bounds_hold_over_kn():
             assert w[-1] <= fro + slack
 
 
+def _inverse_norms(n):
+    """||X^-1||_F^2 of every K(n) mask, in ascending mask order, by int64
+    forward substitution over all masks at once."""
+    rows, cols = _kernels.tri_positions(n)
+    masks = np.arange(1 << rows.shape[0], dtype=np.int64)
+    x = np.zeros((masks.shape[0], n, n), dtype=np.int64)
+    x[:, np.arange(n), np.arange(n)] = 1
+    x[:, rows, cols] = (masks[:, None] >> np.arange(rows.shape[0])) & 1
+    y = np.zeros_like(x)
+    y[:, np.arange(n), np.arange(n)] = 1
+    for i in range(1, n):
+        y[:, i, :i] = -np.einsum("bk,bkj->bj", x[:, i, :i], y[:, :i, :i])
+    assert np.array_equal(x @ y, np.broadcast_to(np.eye(n, dtype=np.int64), x.shape))
+    return (y * y).sum(axis=(1, 2))
+
+
 def test_inverse_norm_maximum_is_phi_n(scan_table):
     # max over K(n) of ||X^-1||_F^2 is Phi_n = n + F_n^2 - [n odd], attained
     # at the c_n witness
@@ -135,10 +154,7 @@ def test_inverse_norm_maximum_is_phi_n(scan_table):
         fib.append(fib[-1] + fib[-2])
     phis = []
     for n in range(1, 7):
-        norms = [
-            sum(v * v for row in _inverse_ints(n, bits) for v in row)
-            for bits in range(1 << (n * (n - 1) // 2))
-        ]
+        norms = _inverse_norms(n).tolist()
         phi = n + fib[n] ** 2 - n % 2
         assert max(norms) == phi
         assert norms[scan_table["results"][n][0].witness.bits] == phi
@@ -149,20 +165,29 @@ def test_inverse_norm_maximum_is_phi_n(scan_table):
 # -- the filtered scan against solving every mask ------------------------------
 
 
-def _scan_unfiltered(n, lo, hi):
-    """Reference for scan_mask_range: Jacobi on every mask's Gram matrix in
-    one stack, the first (smallest) mask winning a tie."""
-    if lo == hi:
-        return np.inf, 0, -np.inf, 0, 0
+def _scan_unfiltered(n, lo, hi, threshold):
+    """Reference for scan_mask_range: LAPACK on every mask's Gram matrix,
+    restricted to values <= threshold, the smallest mask winning a tie.
+
+    The scan returns Jacobi's bits, so every mask that LAPACK puts within
+    the two solvers' error bound of the threshold or below it is also solved
+    by Jacobi; LAPACK rules out the rest.
+    """
     rows, cols = _kernels.tri_positions(n)
     masks = np.arange(lo, hi, dtype=np.int64)
     x = np.zeros((hi - lo, n, n))
     x[:, np.arange(n), np.arange(n)] = 1.0
     x[:, rows, cols] = (masks[:, None] >> np.arange(rows.shape[0])) & 1
-    eigs, _, _, stuck = _kernels._jacobi_stack(x @ x.transpose(0, 2, 1), _kernels.JACOBI_TOL)
-    assert not stuck.any()
-    i, j = int(np.argmin(eigs[:, 0])), int(np.argmax(eigs[:, -1]))
-    return float(eigs[i, 0]), lo + i, float(eigs[j, -1]), lo + j, hi - lo
+    lapack = np.linalg.eigvalsh(x @ x.transpose(0, 2, 1))[:, 0] if hi > lo else np.empty(0)
+    tol = 1e-11 * n * (n + 1) / 2  # both solvers' error, by Weyl's inequality
+    best = (np.inf, -1)
+    for mask, w in zip(masks.tolist(), lapack.tolist()):
+        if w <= threshold + tol:
+            value = float(_kernels.gram_eigenvalues(n, mask)[0])
+            assert abs(value - w) <= tol
+            if value <= threshold:
+                best = min(best, (value, mask))
+    return best
 
 
 def _filter_ranges():
@@ -173,8 +198,8 @@ def _filter_ranges():
         for _ in range(6):
             lo = int(rng.integers(0, total))
             yield n, lo, int(rng.integers(lo, min(total, lo + 4096) + 1))
-        # shorter than the seeds, and empty
-        for width in (0, 1, 2, 3, 2 * _kernels._SCAN_SEEDS + 1):
+        # short, and empty
+        for width in (0, 1, 2, 3, 5):
             lo = int(rng.integers(0, total - width))
             yield n, lo, lo + width
     # neither global witness inside: K(5)'s are 685 and 1023, K(6)'s 22189
@@ -185,12 +210,31 @@ def _filter_ranges():
     yield 6, 22190, 32767
 
 
+# Thresholds as multiples of y0's value: below every mask, y0's own (the
+# scan's), and high enough that 6 masks of K(5) and 19 of K(6) reach it.
+_FACTORS = (0.5, 1.0, 1.5)
+
+
 def test_filtered_scan_equals_solving_every_mask():
     for n, lo, hi in _filter_ranges():
-        assert _kernels.scan_mask_range(n, lo, hi) == _scan_unfiltered(n, lo, hi), (n, lo, hi)
+        for factor in _FACTORS:
+            threshold = factor * _y0_value(n)
+            got = _kernels.scan_mask_range(n, lo, hi, threshold)
+            assert got == _scan_unfiltered(n, lo, hi, threshold), (n, lo, hi, factor)
+
+
+def test_filtered_scan_tie_goes_to_smallest_mask():
+    # masks 57 and 58 of K(4) get bit-equal values, and nothing between them
+    value = float(_kernels.gram_eigenvalues(4, 58)[0])
+    assert float(_kernels.gram_eigenvalues(4, 57)[0]) == value
+    assert _kernels.scan_mask_range(4, 57, 59, value) == (value, 57)
+    assert _kernels.scan_mask_range(4, 50, 64, value) == _scan_unfiltered(4, 50, 64, value)
 
 
 def test_filtered_scan_across_batch_boundaries(monkeypatch):
     monkeypatch.setattr(_kernels, "_SCAN_BATCH", 64)
     for n, lo, hi in ((5, 0, 1024), (5, 600, 700), (6, 22100, 22500), (6, 32700, 32768)):
-        assert _kernels.scan_mask_range(n, lo, hi) == _scan_unfiltered(n, lo, hi), (n, lo, hi)
+        for factor in _FACTORS:
+            threshold = factor * _y0_value(n)
+            got = _kernels.scan_mask_range(n, lo, hi, threshold)
+            assert got == _scan_unfiltered(n, lo, hi, threshold), (n, lo, hi, factor)
