@@ -3,7 +3,7 @@
 The package builds the matrices (GCD/LCM and MIN/MAX matrices are the stock
 special cases), verifies their factorizations, computes lower bounds and
 inclusion regions for their eigenvalues against directly computed spectra,
-and reproduces the extremal constants those bounds depend on by exhaustive
+and reproduces the extremal constants those bounds depend on by a certified
 search over unit-lower-triangular 0/1 matrices.
 """
 
@@ -25,9 +25,11 @@ from .bounds import (
     totient_reciprocal_interval,
 )
 from .constants import (
+    Certificate,
     ConjectureCheck,
     SearchResult,
     TriangularMask,
+    certify_cn,
     cn_lower_bound_from_n0,
     cn_lower_bound_from_tn,
     enumerate_kn,

@@ -60,16 +60,25 @@ def _round_robin(n: int):
     return first, moves
 
 
+def as_float64(a) -> np.ndarray:
+    """`a` as a float64 array; an entry past float64 raises SpectraError."""
+    try:
+        return np.asarray(a, dtype=np.float64)
+    except OverflowError:
+        raise SpectraError("an entry overflows float64") from None
+
+
 def jacobi_eigenvalues(a: np.ndarray, tol: float = JACOBI_TOL):
     """Cyclic Jacobi on one symmetric matrix; returns (eigenvalues ascending,
     sweeps, off-diagonal residual).
 
     Iterates until the off-diagonal Frobenius norm is at most tol * the
     Frobenius norm; raises SpectraError if that takes more than
-    JACOBI_MAX_SWEEPS sweeps.  `a` is not modified.
+    JACOBI_MAX_SWEEPS sweeps, or if an eigenvalue is not finite.  `a` is not
+    modified.
     """
     cap = JACOBI_MAX_SWEEPS
-    a = np.asarray(a, dtype=np.float64)
+    a = as_float64(a)
     n = a.shape[-1]
     first, moves = _round_robin(n)
     half = n // 2
@@ -130,12 +139,18 @@ def jacobi_eigenvalues(a: np.ndarray, tol: float = JACOBI_TOL):
             work = work[move[:, None], move]
         off = norms(work)[1]
         sweeps += 1
-    residual = float(np.ldexp(off, shift))
+    with np.errstate(over="ignore"):  # an eigenvalue past float64 raises below
+        residual = float(np.ldexp(off, shift))
+        eigenvalues = np.ldexp(np.sort(work[diag, diag]), shift)
     if off > thresh:
         raise SpectraError(
             f"Jacobi iteration did not converge in {cap} sweeps (residual {residual:.3e})"
         )
-    return np.ldexp(np.sort(work[diag, diag]), shift), sweeps, residual
+    if not np.isfinite(eigenvalues).all():
+        if np.isfinite(a).all():
+            raise SpectraError("an eigenvalue overflows float64")
+        raise SpectraError("the matrix has an entry that is not finite")
+    return eigenvalues, sweeps, residual
 
 
 # -- exhaustive scan over unit-lower-triangular 0/1 masks --------------------

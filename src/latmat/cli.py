@@ -127,19 +127,20 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("constants", help="closed-form constants for a given size")
     sp.add_argument("--n", type=int, required=True)
 
-    sp = sub.add_parser("search", help="exhaustive extremal-eigenvalue scan over K(n)")
+    sp = sub.add_parser("search", help="certified extremal-eigenvalue search over K(n)")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--extremum", choices=("min", "max", "both"), default="both")
-    sp.add_argument("--jobs", type=int, default=1)
-    sp.add_argument("--checkpoint-dir", default=None)
+    sp.add_argument("--jobs", type=int, default=1, help="scan every mask over this many processes")
+    sp.add_argument("--checkpoint-dir", default=None, help="scan every mask, checkpointing here")
     sp.add_argument("--ledger", default=None, help="CSV ledger to append results to")
     sp.add_argument(
         "--i-know",
         action="store_true",
-        help="waive the size cap (the scan is exponential in n(n-1)/2)",
+        help="waive the size cap: n = 60 for the search, and for a scan "
+        "(exponential in n(n-1)/2) n = 8 or LATMAT_MAX_N",
     )
 
-    sp = sub.add_parser("verify-conjecture", help="compare searched c_n with the conjectured witness")
+    sp = sub.add_parser("verify-conjecture", help="certify whether the conjectured witness attains c_n")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--jobs", type=int, default=1)
     sp.add_argument("--checkpoint-dir", default=None)
@@ -298,7 +299,7 @@ def _cmd_verify_conjecture(args) -> int:
     )
     sys.stdout.write(
         f"n: {chk.n}\nc_n: {chk.c_n:.17g}\nkappa_y0: {chk.kappa_y0:.17g}\n"
-        f"holds: {str(chk.holds).lower()}\n"
+        f"holds: {str(chk.holds).lower()}\nnodes: {chk.nodes}\nmargin: {chk.margin:.17g}\n"
     )
     return 0 if chk.holds else 1
 

@@ -1,11 +1,46 @@
 """Extremal eigenvalue constants over unit-lower-triangular 0/1 matrices.
 
-K(n) is the set of n x n lower triangular 0/1 matrices with unit diagonal.
-``search_cn`` minimizes the smallest Gram eigenvalue over K(n) by an
-exhaustive scan, seeded with the value of the conjectured witness y0; the
-scan is embarrassingly parallel over mask ranges, merges deterministically,
-and can checkpoint per chunk for crash-safe resume.  ``search_Cn`` maximizes
-the largest one, which the all-ones mask attains, so it is one eigensolve
+K(n) is the set of n x n lower triangular 0/1 matrices with unit diagonal,
+and c_n is the minimum of lambda_min(X X^T) over K(n).  ``certify_cn``
+proves which masks can attain it by a search over the rows of X^-1, all in
+Python ints, so no float decides which masks are left:
+
+* For X in K(n), Y = X^-1 is an integer unit lower-triangular matrix, and
+  lambda_min(X X^T) = 1 / sigma_max(Y)^2 >= 1 / ||Y||_F^2.
+* Down column j, y_rj = -sum_{j <= k < r} x_rk y_kj, so y_rj lies in
+  [-P, N]: P is the sum of the column's positive entries so far and N the
+  sum of the absolute values of its negative ones.  With a = max(P, N) and
+  b = P + N, one more row moves (a, b) to at most (b, a + b), so m more rows
+  add at most Q_m(a, b) = sum_{t<m} A_t^2 to the column's squares, with
+  A_t = F_{t-1} a + F_t b, F_{-1} = 1 and F_0 = 0.  A column not yet
+  started, with m rows below its diagonal, holds at most 1 + F_m F_{m+1};
+  summed over the columns, ||Y||_F^2 <= n + F_n^2 - [n odd], with equality
+  at y0.
+* The search decides the bits of each new row of X one at a time, taking
+  first the rows of Y so far with the largest absolute sums.  With some bits
+  decided, each new entry z_j of Y lies in an interval: the decided part,
+  minus the positive y_kj or plus the absolute values of the negative ones
+  over the undecided k.  z^2 + Q(a(z), b(z)) grows with |z| on each side of
+  0, so its largest value on the interval is at one of the ends.  The rows
+  decided so far, these largest values and the constants of the columns not
+  yet started bound ||Y||_F^2 for every completion of the prefix.  On a
+  whole row this is the row-level bound, and on a whole mask it is exact.
+* G0 = Y0^T Y0, with Y0 = y0^-1, and v = G0^2 1 (two power steps from the
+  all-ones vector, each shifted to about 64 bits) give the Rayleigh quotient
+  v^T G0 v / v^T v <= lambda_max(G0) = 1 / kappa(y0).  A prefix is pruned iff
+  bound * v^T v < v^T G0 v; then every mask below it has
+  lambda_min(X X^T) >= 1 / bound > v^T v / v^T G0 v >= kappa(y0).  A poor v
+  prunes less, but cannot make the proof wrong.  y0 is never pruned: along
+  its path every bound is at least ||Y0||_F^2 = trace(G0) >= lambda_max(G0).
+
+c_n is then the smallest value among the survivors, the smallest mask
+winning a tie.  Every value comes from one route, that of ``kappa_y0``:
+1 / lambda_max(Y^T Y), with Y^T Y formed in ints.  The search visits n^2 - 1
+prefixes (24 at n = 4) and keeps y0 alone, or y0 and mask 51 at n = 4.  A
+call with ``jobs``, ``chunks`` or ``checkpoint_dir`` still scans every mask,
+over ranges that run in parallel and can checkpoint for crash-safe resume,
+and values its winner by the same route.  ``search_Cn`` maximizes the
+largest eigenvalue, which the all-ones mask attains, so it is one eigensolve
 and needs no scan.
 """
 
@@ -13,15 +48,17 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-from ._kernels import gram_eigenvalues, mask_to_matrix, scan_mask_range
+from ._kernels import mask_to_matrix, scan_mask_range
 from .spectra import eigen_symmetric
 
 DEFAULT_MAX_N = 8
+CERTIFY_MAX_N = 60  # the certified search takes about 0.4 s there
 
 
 def search_cap() -> int:
@@ -63,15 +100,16 @@ class SearchResult:
     matrices_scanned: int
 
 
-def _check_n(n: int, cap: int | None = None) -> None:
+def _check_n(n: int, cap: int | None = None, what: str = "scan") -> None:
     cap = search_cap() if cap is None else cap
     if n < 1:
         raise ValueError("n must be at least 1")
     if n > cap:
-        raise ValueError(
-            f"n={n} exceeds the scan cap {cap} "
-            f"(2**(n(n-1)/2) grows fast; raise LATMAT_MAX_N or pass the override to proceed)"
-        )
+        if what == "scan":
+            why = "2**(n(n-1)/2) grows fast; raise LATMAT_MAX_N or"
+        else:
+            why = "its time grows about as n**4;"
+        raise ValueError(f"n={n} exceeds the {what} cap {cap} ({why} pass the override to proceed)")
 
 
 def enumerate_kn(n: int, cap: int | None = None):
@@ -83,6 +121,215 @@ def enumerate_kn(n: int, cap: int | None = None):
             yield TriangularMask(n, bits)
 
     return _iterate()
+
+
+# -- one value route ------------------------------------------------------------
+
+
+def _inverse(x) -> np.ndarray:
+    """X^-1 of a unit lower-triangular 0/1 matrix in Python ints (an object
+    array), by forward substitution."""
+    x = np.asarray(x).astype(object)
+    inv = np.eye(x.shape[0], dtype=object)
+    for i in range(1, x.shape[0]):
+        inv[i, :i] = -x[i, :i].dot(inv[:i, :i])
+    return inv
+
+
+def _inverse_gram_value(inv) -> float:
+    """lambda_min(X X^T) as 1 / lambda_max(Y^T Y), with Y = X^-1 in Python ints.
+
+    (X X^T)^-1 = Y^T Y is formed exactly and rounded once per entry, and its
+    largest eigenvalue has a small relative error; the smallest eigenvalue of
+    X X^T itself drowns in rounding as n grows.  Raises SpectraError (a
+    ValueError) where an entry or the eigenvalue overflows float64.
+    """
+    return 1.0 / eigen_symmetric(inv.T @ inv).max
+
+
+def mask_value(n: int, bits: int) -> float:
+    """lambda_min(X X^T) of a K(n) mask, by the route every c_n value takes."""
+    return _inverse_gram_value(_inverse(mask_to_matrix(n, bits)))
+
+
+# -- certified search -----------------------------------------------------------
+
+
+@lru_cache(maxsize=64)
+def _fibonacci_tables(n: int):
+    """(coef, tail) for the bound on K(n).
+
+    coef[m] = (alpha, beta, gamma) with Q_m(a, b) = alpha a^2 + beta a b +
+    gamma b^2, for m = 0..n.  tail[r] bounds the squares of columns r..n-1
+    before any of their entries below the diagonal is decided:
+    sum over j >= r of 1 + F_m F_{m+1}, m = n - 1 - j.
+    """
+    fib = [1, 0]  # F_{t} is fib[t + 1], from F_{-1} = 1
+    while len(fib) < n + 3:
+        fib.append(fib[-1] + fib[-2])
+    coef, al, be, ga = [], 0, 0, 0
+    for t in range(n + 1):
+        coef.append((al, be, ga))
+        al += fib[t] ** 2
+        be += 2 * fib[t] * fib[t + 1]
+        ga += fib[t + 1] ** 2
+    tail = [0] * (n + 1)
+    for j in range(n - 1, -1, -1):
+        m = n - 1 - j
+        tail[j] = tail[j + 1] + 1 + fib[m + 1] * fib[m + 2]
+    return tuple(coef), tuple(tail)
+
+
+class _Prefix(NamedTuple):
+    """A node of the search: rows 0..r-1 of X decided, and `pos` bits of row r.
+
+    rows[i] holds row i of Y = X^-1 up to its diagonal.  s, p and q hold, for
+    each column j < r, the sum of its squares, of its positive entries and of
+    the absolute values of its negative entries so far.  Row r decides its
+    bits in the order `order`; for each j < r, d[j] is the decided part of
+    the new entry z_j, and up[j] and un[j] sum the positive y_kj and the
+    absolute values of the negative ones over the undecided k.
+    """
+
+    r: int
+    pos: int
+    bits: int
+    rows: tuple
+    s: tuple
+    p: tuple
+    q: tuple
+    order: tuple
+    d: tuple
+    up: tuple
+    un: tuple
+
+
+def _start_row(r: int, bits: int, rows: tuple, s: tuple, p: tuple, q: tuple) -> _Prefix:
+    order = tuple(sorted(range(r), key=lambda k: -sum(map(abs, rows[k]))))
+    up = tuple(sum(row[j] for row in rows[j:] if row[j] > 0) for j in range(r))
+    un = tuple(sum(-row[j] for row in rows[j:] if row[j] < 0) for j in range(r))
+    return _Prefix(r, 0, bits, rows, s, p, q, order, (0,) * r, up, un)
+
+
+def _root(n: int) -> _Prefix:
+    """Row 0 decided (it has no bits), row 1 started; for n = 1 the one mask."""
+    empty = _start_row(0, 0, (), (), (), ())
+    return empty if n == 1 else _children(n, empty)[0]
+
+
+def _bound(n: int, node: _Prefix) -> int:
+    """An integer upper bound on ||X^-1||_F^2 over every completion of `node`."""
+    coef, tail = _fibonacci_tables(n)
+    al, be, ga = coef[n - 1 - node.r]
+    total = tail[node.r]
+    for s, p, q, d, up, un in zip(node.s, node.p, node.q, node.d, node.up, node.un):
+        best = 0
+        for z in (d - up, d + un):  # the ends of z_j's interval
+            a, b = (p + z, q) if z >= 0 else (p, q - z)
+            a, b = max(a, b), a + b
+            best = max(best, z * z + (al * a + be * b) * a + ga * b * b)
+        total += s + best
+    return total
+
+
+def _children(n: int, node: _Prefix) -> list:
+    """The prefixes one decision below `node`: both values of the next bit of
+    row r, or, with row r whole, row r + 1 started.  A whole mask has none."""
+    r, pos = node.r, node.pos
+    if pos < r:
+        k = node.order[pos]
+        yk = node.rows[k]  # y_kj is zero for j > k
+        up = tuple(u - y if y > 0 else u for u, y in zip(node.up, yk)) + node.up[k + 1 :]
+        un = tuple(u + y if y < 0 else u for u, y in zip(node.un, yk)) + node.un[k + 1 :]
+        d = tuple(dj - y for dj, y in zip(node.d, yk)) + node.d[k + 1 :]
+        bit = 1 << (r * (r - 1) // 2 + k)
+        return [
+            node._replace(pos=pos + 1, up=up, un=un),
+            node._replace(pos=pos + 1, bits=node.bits | bit, d=d, up=up, un=un),
+        ]
+    if r >= n - 1:
+        return []
+    z = node.d
+    return [
+        _start_row(
+            r + 1,
+            node.bits,
+            node.rows + (z + (1,),),
+            tuple(s + y * y for s, y in zip(node.s, z)) + (1,),
+            tuple(p + y if y > 0 else p for p, y in zip(node.p, z)) + (1,),
+            tuple(q - y if y < 0 else q for q, y in zip(node.q, z)) + (0,),
+        )
+    ]
+
+
+def _top_vector(g0) -> np.ndarray:
+    """Two power steps on G0 from the all-ones vector, in Python ints, each
+    shifted right to keep about 64 bits."""
+    v = np.ones(g0.shape[0], dtype=object)
+    for _ in range(2):
+        v = g0.dot(v)
+        shift = max(abs(x).bit_length() for x in v) - 64
+        if shift > 0:
+            v = v >> shift
+    return v
+
+
+@dataclass(frozen=True)
+class Certificate:
+    """What ``certify_cn`` proves.
+
+    Every K(n) mask outside `survivors` has ||X^-1||_F^2 < num / den, so
+    lambda_min(X X^T) > den / num >= kappa(y0).  num = v^T G0 v and
+    den = v^T v; `nodes` counts the prefixes visited.
+    """
+
+    n: int
+    survivors: tuple  # masks the bound could not prune, ascending
+    num: int
+    den: int
+    nodes: int
+
+    @property
+    def margin(self) -> float:
+        """num / den: the bound on ||X^-1||_F^2 under which a prefix is pruned
+        (0 for v = 0, which prunes nothing)."""
+        return self.num / self.den if self.den else 0.0
+
+
+def certify_cn(n: int, cap: int | None = None) -> Certificate:
+    """The K(n) masks that can attain c_n, with the proof that no other can.
+
+    A depth-first search with an explicit stack over the bits of X, row by
+    row; see the module docstring for the bound and the pruning rule.
+    """
+    _check_n(n, CERTIFY_MAX_N if cap is None else cap, "search")
+    y0 = y0_inverse(n)
+    g0 = y0.T @ y0
+    v = _top_vector(g0)
+    num, den = int(v.dot(g0.dot(v))), int(v.dot(v))
+    survivors, nodes, stack = [], 0, [_root(n)]
+    while stack:
+        node = stack.pop()
+        nodes += 1
+        if _bound(n, node) * den < num:
+            continue
+        children = _children(n, node)
+        stack.extend(children)
+        if not children:
+            survivors.append(node.bits)
+    return Certificate(n, tuple(sorted(survivors)), num, den, nodes)
+
+
+def _certified(n: int, cap: int | None = None):
+    """certify_cn(n), and each survivor's value."""
+    cert = certify_cn(n, cap)
+    return cert, {mask: mask_value(n, mask) for mask in cert.survivors}
+
+
+def _least(n: int, values: dict) -> SearchResult:
+    """The smallest value, the smallest mask winning a tie."""
+    value, mask = min((v, m) for m, v in values.items())
+    return SearchResult(n, "min", value, TriangularMask(n, mask), 1 << (n * (n - 1) // 2))
 
 
 # -- exhaustive scan ----------------------------------------------------------
@@ -128,32 +375,27 @@ def _read_checkpoint(path, n, lo, hi):
         return None
 
 
-def full_scan(
-    n: int,
-    jobs: int = 1,
-    checkpoint_dir: str | None = None,
-    chunks: int | None = None,
-    cap: int | None = None,
-):
-    """Scan all of K(n) once; returns (min SearchResult, max SearchResult).
-
-    The scan looks for c_n only.  Its threshold is y0's value, solved by the
-    same Jacobi as every mask, so each range keeps only masks that reach it
-    (y0's range at least y0 itself); the max result is ``search_Cn(n)``.
-    """
+def _scan(n: int, jobs: int, checkpoint_dir: str | None, chunks: int | None, cap: int | None):
+    """c_n by scanning every mask, over ranges that can run in parallel and
+    checkpoint.  Each range keeps the masks whose Jacobi value reaches y0's
+    plus a slack far above Jacobi's error, so y0's range keeps y0 itself;
+    each range's winner is then valued as the search's survivors are."""
     _check_n(n, cap)
-    threshold = float(gram_eigenvalues(n, y0_mask(n).bits)[0])
+    y0 = y0_mask(n).bits
+    c0 = kappa_y0(n)
+    threshold = c0 + 1e-9 * n * (n + 1) / 2
     total = 1 << (n * (n - 1) // 2)
     if chunks is None:
-        if n >= 8:
-            chunks = 256
-        elif jobs > 1 or checkpoint_dir is not None:
-            chunks = min(total, 32)
-        else:
-            chunks = 1
+        chunks = 256 if n >= 8 else 32
     chunks = max(1, min(chunks, total))
     step = -(-total // chunks)
     ranges = [(lo, min(lo + step, total)) for lo in range(0, total, step)]
+
+    def valued(part):
+        value, mask = part
+        if mask < 0:
+            return part
+        return (c0 if mask == y0 else mask_value(n, mask)), mask
 
     parts: list = [None] * len(ranges)
     pending = []
@@ -167,23 +409,49 @@ def full_scan(
                 continue
         pending.append((k, lo, hi))
 
+    args = [(n, lo, hi, threshold) for _, lo, hi in pending]
     if jobs > 1 and len(pending) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # 18 ms of import
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for (k, lo, hi), part in zip(
-                pending, pool.map(_chunk_worker, [(n, lo, hi, threshold) for _, lo, hi in pending])
-            ):
-                parts[k] = part
-                if checkpoint_dir is not None:
-                    _write_checkpoint(_checkpoint_path(checkpoint_dir, n, k), n, lo, hi, part)
+            found = list(pool.map(_chunk_worker, args))
     else:
-        for k, lo, hi in pending:
-            part = scan_mask_range(n, lo, hi, threshold)
-            parts[k] = part
-            if checkpoint_dir is not None:
-                _write_checkpoint(_checkpoint_path(checkpoint_dir, n, k), n, lo, hi, part)
+        found = map(_chunk_worker, args)
+    for (k, lo, hi), part in zip(pending, found):
+        parts[k] = valued(part)
+        if checkpoint_dir is not None:
+            _write_checkpoint(_checkpoint_path(checkpoint_dir, n, k), n, lo, hi, parts[k])
 
     value, mask = min(parts)  # the smallest value, the smallest mask winning a tie
-    return SearchResult(n, "min", value, TriangularMask(n, mask), total), search_Cn(n)
+    return SearchResult(n, "min", value, TriangularMask(n, mask), total)
+
+
+def _scans(jobs: int, checkpoint_dir: str | None, chunks: int | None) -> bool:
+    return jobs > 1 or checkpoint_dir is not None or chunks is not None
+
+
+def _search_min(n, jobs=1, checkpoint_dir=None, chunks=None, cap=None) -> SearchResult:
+    if _scans(jobs, checkpoint_dir, chunks):
+        return _scan(n, jobs, checkpoint_dir, chunks, cap)
+    return _least(n, _certified(n, cap)[1])
+
+
+def full_scan(
+    n: int,
+    jobs: int = 1,
+    checkpoint_dir: str | None = None,
+    chunks: int | None = None,
+    cap: int | None = None,
+):
+    """c_n and C_n over all of K(n): (min SearchResult, max SearchResult).
+
+    The min result comes from ``certify_cn``, whose proof covers every mask,
+    so all 2^(n(n-1)/2) count as scanned.  Only a call with `jobs` > 1,
+    `chunks` or `checkpoint_dir` scans them, and only that call is held to
+    the scan's cap (``search_cap``); the search's own cap is CERTIFY_MAX_N.
+    `cap` overrides whichever applies.  The max result is ``search_Cn(n)``.
+    """
+    return _search_min(n, jobs, checkpoint_dir, chunks, cap), search_Cn(n)
 
 
 _scan_cache: dict = {}
@@ -198,7 +466,7 @@ def _cached_scan(n: int):
 def search_cn(n: int, **kwargs) -> SearchResult:
     """Global minimum of the smallest Gram eigenvalue over K(n), with witness."""
     if kwargs:
-        return full_scan(n, **kwargs)[0]
+        return _search_min(n, **kwargs)
     return _cached_scan(n)[0]
 
 
@@ -318,52 +586,49 @@ def n0_frobenius_closed_form(n: int) -> float:
     return math.sqrt(num / 48.0)
 
 
-CONJECTURE_TOL = 1e-9
-
-
 @dataclass(frozen=True)
 class ConjectureCheck:
     n: int
     holds: bool
     c_n: float
     kappa_y0: float
+    nodes: int  # prefixes the certified search visited
+    margin: float  # v^T G0 v / v^T v, see Certificate
 
 
 def y0_inverse(n: int) -> np.ndarray:
     """y0^-1 in Python ints (an object array), by forward substitution."""
-    y = y0_matrix(n).astype(object)
-    inv = np.eye(n, dtype=object)
-    for i in range(1, n):
-        inv[i, :i] = -y[i, :i].dot(inv[:i, :i])
-    return inv
+    return _inverse(y0_matrix(n))
 
 
 def kappa_y0(n: int) -> float:
-    """Smallest eigenvalue of the conjectured extremal Gram matrix y0 y0^T.
+    """Smallest eigenvalue of the conjectured extremal Gram matrix y0 y0^T,
+    as 1 / lambda_max(Y0^T Y0) with Y0 = y0^-1 (``_inverse_gram_value``).
 
-    It is computed as 1 / lambda_max(Y0^T Y0), with Y0 = y0^-1, since
-    (y0 y0^T)^-1 = Y0^T Y0.  Y0^T Y0 is formed in Python ints and rounded
-    once per entry, and its largest eigenvalue has a small relative error;
-    the smallest eigenvalue of y0 y0^T itself drowns in rounding as n grows
-    (a direct solve gives -4.8e-16 at n = 60, against 4.17e-25).  Raises
-    ValueError where the entries or the eigenvalue overflow float64.
+    A direct solve of y0 y0^T drowns in rounding as n grows: it gives
+    -4.8e-16 at n = 60, against 4.17e-25.  Raises SpectraError (a
+    ValueError) where Y0^T Y0 or its largest eigenvalue overflows float64.
     """
-    inv = y0_inverse(n)
-    try:
-        with np.errstate(over="ignore"):  # an infinite eigenvalue raises below
-            top = eigen_symmetric((inv.T @ inv).astype(np.float64)).max
-    except OverflowError:
-        top = math.inf
-    if not math.isfinite(top):
-        raise ValueError(f"kappa_y0({n}): (y0 y0^T)^-1 overflows float64")
-    return 1.0 / top
+    return _inverse_gram_value(y0_inverse(n))
 
 
-def verify_conjecture(n: int, **search_kwargs) -> ConjectureCheck:
-    """Compare the searched minimum against the conjectured witness value."""
-    c = search_cn(n, **search_kwargs)
-    ky = kappa_y0(n)
-    return ConjectureCheck(n, abs(c.value - ky) <= CONJECTURE_TOL, c.value, ky)
+def verify_conjecture(
+    n: int, jobs: int = 1, checkpoint_dir: str | None = None, chunks: int | None = None
+) -> ConjectureCheck:
+    """Decide by ``certify_cn`` whether y0 attains c_n.
+
+    `holds` is true iff y0 has the smallest value among the survivors: every
+    other mask is proven above kappa(y0) in integers.  c_n is that smallest
+    value, or the winner of a scan if `jobs`, `checkpoint_dir` or `chunks`
+    asks for one.
+    """
+    cert, values = _certified(n)
+    best = _least(n, values)
+    y0 = y0_mask(n).bits
+    holds = best.witness.bits == y0
+    if _scans(jobs, checkpoint_dir, chunks):
+        best = _scan(n, jobs, checkpoint_dir, chunks, None)
+    return ConjectureCheck(n, holds, best.value, values[y0], cert.nodes, cert.margin)
 
 
 @dataclass(frozen=True)
@@ -375,7 +640,7 @@ class TableRow:
 
 
 def table1(n_max: int, **search_kwargs) -> list:
-    """Rows (n, unconditional bound, conjecture-based bound, searched c_n)."""
+    """Rows (n, unconditional bound, conjecture-based bound, certified c_n)."""
     if not 1 <= n_max <= 7:
         raise ValueError("the constants table is produced for n_max between 1 and 7")
     rows = []

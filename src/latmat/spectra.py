@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import JACOBI_TOL, SpectraError, jacobi_eigenvalues
+from ._kernels import JACOBI_TOL, SpectraError, as_float64, jacobi_eigenvalues
 
 SYMMETRY_TOL = 1e-12
 
@@ -34,7 +34,7 @@ class Spectrum:
 
 
 def _as_square(m) -> np.ndarray:
-    m = np.asarray(m, dtype=np.float64)
+    m = as_float64(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise SpectraError(f"matrix must be square, got shape {m.shape}")
     return m

@@ -193,7 +193,8 @@ def test_search_command_with_ledger(tmp_path, capsys):
 
 
 def test_search_cap(capsys):
-    assert run(["search", "--n", "9"]) == 2
+    # the certified search runs to n = 60; past it the cap holds
+    assert run(["search", "--n", "61"]) == 2
     assert "cap" in capsys.readouterr().err
 
 
@@ -201,6 +202,24 @@ def test_verify_conjecture_command(capsys):
     assert run(["verify-conjecture", "--n", "3"]) == 0
     out = capsys.readouterr().out
     assert "holds: true" in out
+
+
+def test_verify_conjecture_reports_the_certificate(capsys):
+    assert run(["verify-conjecture", "--n", "60"]) == 0
+    captured = capsys.readouterr()
+    fields = dict(line.split(": ") for line in captured.out.splitlines())
+    assert fields["holds"] == "true" and fields["nodes"] == str(60 * 60 - 1)
+    assert fields["c_n"] == fields["kappa_y0"]
+    assert float(fields["margin"]) * float(fields["kappa_y0"]) <= 1.0 + 1e-12
+    assert captured.err == ""
+
+
+def test_search_runs_past_the_scan_cap(capsys):
+    assert run(["search", "--n", "9", "--extremum", "min"]) == 0
+    captured = capsys.readouterr()
+    assert f"scanned: {1 << 36}" in captured.out and captured.err == ""
+    assert run(["search", "--n", "9", "--jobs", "2"]) == 2  # a scan keeps its cap
+    assert "scan cap 8" in capsys.readouterr().err
 
 
 def test_table1_command(capsys):

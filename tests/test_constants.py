@@ -320,3 +320,119 @@ def test_Cn_closed_form_and_all_ones_witness(scan_table):
         tol = (1e-12 + 50 * n * np.finfo(np.float64).eps) * np.linalg.norm(gram)
         assert abs(result.value - 1.0 / (4.0 * math.sin(math.pi / (4 * n + 2)) ** 2)) <= tol
         assert result.witness.bits == (1 << (n * (n - 1) // 2)) - 1
+
+
+# -- the certified search --------------------------------------------------------
+
+
+def _inverse_norms(n):
+    """||X^-1||_F^2 of every K(n) mask, indexed by mask, from LAPACK's inverse
+    rounded to integers (exact for n <= 6, where the entries stay below 8)."""
+    rows, cols = latmat._kernels.tri_positions(n)
+    masks = np.arange(1 << rows.shape[0])
+    x = np.zeros((masks.shape[0], n, n))
+    x[:, np.arange(n), np.arange(n)] = 1.0
+    x[:, rows, cols] = (masks[:, None] >> np.arange(rows.shape[0])) & 1
+    y = np.rint(np.linalg.inv(x)).astype(np.int64)
+    return (y * y).sum(axis=(1, 2))
+
+
+def test_certify_bound_is_sound_by_brute_force():
+    # every prefix on each mask's own path, at every row and every number of
+    # decided bits of it, bounds that mask's ||X^-1||_F^2; whole masks are
+    # exact, and the unpruned tree reaches every mask once
+    for n in range(1, 7):
+        norms = _inverse_norms(n)
+        reached = []
+        stack = [(constants._root(n), math.inf)]
+        while stack:
+            node, path_min = stack.pop()
+            bound = constants._bound(n, node)
+            path_min = min(path_min, bound)
+            children = constants._children(n, node)
+            if not children:
+                assert bound == norms[node.bits], (n, node.bits)
+                assert path_min >= norms[node.bits], (n, node.bits)
+                reached.append(node.bits)
+            stack.extend((child, path_min) for child in children)
+        assert sorted(reached) == list(range(len(norms))), n
+
+
+def test_certify_bound_at_the_root_is_phi_n():
+    fib = [0, 1]
+    while len(fib) <= 60:
+        fib.append(fib[-1] + fib[-2])
+    for n in range(1, 61):
+        assert constants._bound(n, constants._root(n)) == n + fib[n] ** 2 - n % 2, n
+
+
+def test_certified_witness_bits_and_values():
+    for n, bits in ((5, 685), (6, 22189), (7, 1398445)):
+        r = latmat.search_cn(n)
+        assert r.witness.bits == bits == constants.y0_mask(n).bits
+        assert r.matrices_scanned == 1 << (n * (n - 1) // 2)
+        # the value route of kappa_y0, within 1e-13 of Jacobi on X X^T
+        assert r.value == latmat.kappa_y0(n)
+        jacobi = float(latmat._kernels.gram_eigenvalues(n, bits)[0])
+        assert abs(r.value - jacobi) <= 1e-13 * jacobi, n
+    assert latmat.search_cn(6).value == 0.014827585246472258  # perfbench's pinned c_6
+
+
+def test_certified_survivors_and_nodes():
+    cert = latmat.certify_cn(4)
+    assert cert.survivors == (45, 51) and cert.nodes == 24
+    for n in range(5, 41):
+        cert = latmat.certify_cn(n)
+        assert cert.survivors == (constants.y0_mask(n).bits,), n
+        assert cert.nodes == n * n - 1, n
+        # the Rayleigh quotient of v lies below lambda_max(G0) = 1 / kappa(y0)
+        assert 0 < cert.num and 0 < cert.den
+        assert cert.margin <= (1 + 1e-12) / latmat.kappa_y0(n)
+
+
+@pytest.mark.parametrize(
+    "vector",
+    [
+        lambda g0: np.zeros(g0.shape[0], dtype=object),  # prunes nothing
+        lambda g0: np.eye(g0.shape[0], dtype=object)[0],  # far from the top
+    ],
+    ids=["zero", "first-unit"],
+)
+def test_a_poor_vector_gives_the_same_result(monkeypatch, vector):
+    want = {n: latmat.full_scan(n)[0] for n in range(1, 6)}
+    monkeypatch.setattr(constants, "_top_vector", vector)
+    for n in range(1, 6):
+        got = latmat.full_scan(n)[0]
+        assert (got.value, got.witness.bits) == (want[n].value, want[n].witness.bits), n
+    cert = latmat.certify_cn(5)
+    assert constants.y0_mask(5).bits in cert.survivors
+    if cert.num:
+        assert 1 < len(cert.survivors) < 1 << 10  # it prunes some masks
+    else:
+        assert cert.survivors == tuple(range(1 << 10))
+
+
+def test_search_cap_is_60_and_the_scan_cap_only_binds_a_scan(monkeypatch):
+    with pytest.raises(ValueError, match="search cap 60"):
+        latmat.certify_cn(61)
+    assert latmat.certify_cn(61, cap=61).nodes == 61 * 61 - 1
+    monkeypatch.setenv("LATMAT_MAX_N", "3")
+    assert latmat.full_scan(4)[0].witness.bits == 45
+    with pytest.raises(ValueError, match="scan cap 3"):
+        latmat.full_scan(4, chunks=2)
+
+
+def test_search_writes_nothing(capsys):
+    latmat.full_scan(8)
+    latmat.verify_conjecture(8)
+    assert capsys.readouterr() == ("", "")
+
+
+def test_verify_conjecture_decides_past_the_absolute_tolerance():
+    # from n = 24 on, c_n is below the old absolute tolerance of 1e-9; the
+    # certificate decides there
+    chk = latmat.verify_conjecture(24)
+    assert chk.holds and chk.c_n < 1e-9
+    assert chk.c_n == chk.kappa_y0 == latmat.kappa_y0(24)
+    assert chk.nodes == 24 * 24 - 1
+    assert chk.margin <= (1 + 1e-12) / chk.kappa_y0

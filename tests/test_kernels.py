@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -74,6 +75,19 @@ def test_batch_jacobi_matches_scalar():
             assert np.allclose(w, lapack, rtol=0, atol=1e-12 * scale)
             assert np.array_equal(mats[k], before[k])
         assert np.array_equal(mats, before)  # input untouched
+
+
+def test_an_eigenvalue_past_float64_raises():
+    # the entries 3 * 2**1022 are finite, the largest eigenvalue 9 * 2**1022
+    # is not; no RuntimeWarning escapes on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(latmat.SpectraError, match="overflows float64"):
+            _kernels.jacobi_eigenvalues(np.full((3, 3), 3.0 * 2.0**1022))
+        with pytest.raises(latmat.SpectraError, match="overflows float64"):
+            latmat.eigen_symmetric(np.array([[2**1200, 0], [0, 1]], dtype=object))
+    with pytest.raises(latmat.SpectraError, match="not finite"):
+        _kernels.jacobi_eigenvalues(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
 def _y0_value(n):
