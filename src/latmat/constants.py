@@ -454,20 +454,16 @@ def full_scan(
     return _search_min(n, jobs, checkpoint_dir, chunks, cap), search_Cn(n)
 
 
-_scan_cache: dict = {}
-
-
-def _cached_scan(n: int):
-    if n not in _scan_cache:
-        _scan_cache[n] = full_scan(n)
-    return _scan_cache[n]
+_scan_cache: dict = {}  # n -> search_cn(n); C_n is not needed for c_n
 
 
 def search_cn(n: int, **kwargs) -> SearchResult:
     """Global minimum of the smallest Gram eigenvalue over K(n), with witness."""
     if kwargs:
         return _search_min(n, **kwargs)
-    return _cached_scan(n)[0]
+    if n not in _scan_cache:
+        _scan_cache[n] = _search_min(n)
+    return _scan_cache[n]
 
 
 def search_Cn(n: int) -> SearchResult:

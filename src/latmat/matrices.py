@@ -8,8 +8,9 @@ are computed in double precision through the shared real-power rules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+import math
+from dataclasses import dataclass, replace
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -22,8 +23,8 @@ from .incidence import (
     real_power,
     up_convolution,
 )
-from .poset import ElementSubset
-from .spectra import Spectrum, eigen_symmetric
+from .poset import ElementSubset, divisor_poset
+from .spectra import SpectraError, Spectrum, eigen_symmetric
 
 MATRIX_EQ_TOL = 1e-10
 
@@ -97,10 +98,44 @@ class CombinedSpec:
     def spectrum(self) -> Spectrum:
         """Spectrum of the combined matrix, solved once per spec (all its
         inputs are immutable); the eigenvalue array is read-only, since every
-        caller shares it."""
-        spectrum = eigen_symmetric(combined_matrix(self))
+        caller shares it.  On all divisors of m = prod p^e in a
+        ``divisor_poset``, with gamma = delta, f > 0, f(1) = 1 and f(x) ==
+        prod f(p^v_p(x)) exactly, each entry is a product over the primes, as
+        gcd and lcm take the min and max of each exponent: the matrix is, up
+        to a permutation, the Kronecker product of one (e+1) x (e+1) chain
+        matrix per prime, so its eigenvalues are all products of the chains'.
+        Only the chains are solved there, and `iterations` and
+        `offdiag_residual` are their largest."""
+        spectrum = self._chain_product() or eigen_symmetric(combined_matrix(self))
         spectrum.eigenvalues.flags.writeable = False
         return spectrum
+
+    def _chain_product(self) -> Spectrum | None:
+        """The spectrum from the prime chains, or None where ``spectrum`` says they do not apply."""
+        s, f, p = self.subset, self.f, self.subset.parent
+        if (len(s) != len(p) or not p._divisor_order or self.gamma != self.delta or f.parent is not p
+                or p.elements[0] != 1 or (f.values <= 0.0).any()):
+            return None
+        chains, rest = [], p.elements[-1]  # 1, q, ..., q^e for each prime q, while they are labels
+        for x in p.elements[1:]:  # on a divisor set, a label coprime to the primes so far is prime
+            if all(math.gcd(x, c[-1]) == 1 for c in chains):
+                chains.append([1])
+                while rest % x == 0 and chains[-1][-1] * x in p:
+                    rest //= x
+                    chains[-1].append(chains[-1][-1] * x)
+        terms, subs = [(1, 1.0)], []  # terms: (x, the product over the primes of f(p^v_p(x)))
+        for chain, q in zip(chains, map(divisor_poset, chains)):
+            terms = [(d * x, v * f(x)) for d, v in terms for x in chain]
+            subs.append(replace(self, subset=q.subset(chain), f=PosetFunction(q, [f(x) for x in chain])))
+        if sorted(terms) != list(zip(p.elements, f.values.tolist())):
+            return None
+        parts = [eigen_symmetric(combined_matrix(sub)) for sub in subs]
+        with np.errstate(over="ignore", invalid="ignore"):
+            products = reduce(np.multiply.outer, [part.eigenvalues for part in parts], np.ones(()))
+        if not np.isfinite(products).all():
+            raise SpectraError("a product of chain eigenvalues is not finite in float64")
+        residual = max((part.offdiag_residual for part in parts), default=0.0)
+        return Spectrum(np.sort(products, axis=None), max((part.iterations for part in parts), default=0), residual)
 
 
 def combined_matrix(spec: CombinedSpec) -> np.ndarray:

@@ -81,7 +81,7 @@ def _pair_meets(down: np.ndarray, idx) -> tuple:
 class Poset:
     """A finite partially ordered set with a precomputed order relation."""
 
-    def __init__(self, labels, leq: np.ndarray, _validate: bool = True):
+    def __init__(self, labels, leq: np.ndarray, _validate: bool = True, _divisors: bool = False):
         labels = list(labels)
         leq = np.asarray(leq, dtype=bool)
         if _validate:
@@ -98,6 +98,7 @@ class Poset:
                 raise PosetError("order relation is not transitive")
             if np.tril(leq, -1).any():
                 raise PosetError("element order is not a linear extension")
+        self._divisor_order = _divisors  # divisor_poset's: the order is divisibility of the labels
         self._labels = tuple(labels)
         self._index = {x: i for i, x in enumerate(self._labels)}
         leq = leq.copy()
@@ -428,7 +429,7 @@ def divisor_poset(integers) -> Poset:
         raise PosetError("divisor poset entries must be below 2**63")
     a = np.array(vals, dtype=np.int64)
     leq = (a[None, :] % a[:, None]) == 0
-    return Poset(vals, leq, _validate=False)
+    return Poset(vals, leq, _validate=False, _divisors=True)
 
 
 def chain_poset(n: int) -> Poset:

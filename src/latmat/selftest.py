@@ -126,6 +126,13 @@ def _check_eigensolver():
     return abs(spec.eigenvalues.sum() - np.trace(m)) <= 1e-9 * max(1.0, abs(np.trace(m)))
 
 
+def _check_chain_product():
+    # the product route against one N x N Jacobi, on the 24 divisors of 360
+    spec = bounds.divisor_closed_family(360, 0.5, -0.5)
+    got, want = spec._chain_product(), eigen_symmetric(combined_matrix(spec)).eigenvalues
+    return got is not None and np.abs(got.eigenvalues - want).max() <= 1e-12 * np.abs(want).max()
+
+
 def _check_closed_forms():
     for n in range(1, 51):
         constants.t_n(n)  # raises if the two exact forms disagree
@@ -193,6 +200,7 @@ CHECKS = [
     ("ideal block split and PSD remainder", _check_block_split),
     ("hadamard diagonal identity", _check_hadamard),
     ("jacobi eigensolver", _check_eigensolver),
+    ("divisor lattice spectra from prime chains", _check_chain_product),
     ("exact closed forms", _check_closed_forms),
     ("bound equality witness", _check_bound_equality_case),
     ("bound soundness sample", _check_bound_soundness_sample),

@@ -17,7 +17,8 @@ def scan_table():
     for n in range(1, 8):
         results[n] = latmat.full_scan(n)
     elapsed = time.perf_counter() - t0
-    latmat.constants._scan_cache.update(results)  # later tests reuse these
+    # later tests reuse the min sides
+    latmat.constants._scan_cache.update({n: pair[0] for n, pair in results.items()})
     return {"results": results, "elapsed": elapsed}
 
 

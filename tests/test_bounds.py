@@ -228,10 +228,20 @@ def test_each_spec_is_solved_once(monkeypatch):
     assert len(calls) == 1
     spec = latmat.divisor_closed_family(12, -1.0, 1.0)
     meet = region_meet_closed(spec, ConstantValue(3.0, "user"))
+    assert len(calls) == 3  # one chain per prime of 12 = 2^2 * 3
     join = region_join_closed(spec, ConstantValue(3.0, "user"))
-    assert len(calls) == 2
+    assert len(calls) == 3
     assert meet.eigenvalues is join.eigenvalues and not meet.eigenvalues.flags.writeable
     assert latmat.combined_matrix(spec) is not latmat.combined_matrix(spec)
+
+
+def test_exact_c_never_solves_for_C_n(monkeypatch):
+    def refuse(n):
+        raise AssertionError("a lower bound does not need C_n")
+
+    monkeypatch.setattr(latmat.constants, "search_Cn", refuse)
+    monkeypatch.setattr(latmat.constants, "_scan_cache", {})
+    assert latmat.resolve_c(6, "exact").value == 0.014827585246472258  # perfbench's pinned c_6
 
 
 def test_bound_report_rendering():

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -512,3 +513,101 @@ def test_parse_matrix_errors():
         latmat.parse_matrix_csv("a,b\n")
     with pytest.raises(ValueError, match="inconsistent"):
         latmat.parse_matrix_csv("1,2\n3\n")
+
+
+# -- spectra of whole divisor lattices from their prime chains -------------------
+
+REGION_PAIRS = ((1.0, 0.0), (0.0, 1.0), (0.5, -0.5), (-1.0, 1.0), (1.5, -0.5))
+
+
+@pytest.fixture
+def solved_sizes(monkeypatch):
+    """Sizes of the matrices CombinedSpec.spectrum hands to the eigensolver."""
+    sizes = []
+    solve = latmat.matrices.eigen_symmetric
+    monkeypatch.setattr(latmat.matrices, "eigen_symmetric", lambda m: sizes.append(len(m)) or solve(m))
+    return sizes
+
+
+def assert_matches_eigvalsh(spec, rel=1e-13):
+    want = np.linalg.eigvalsh(combined_matrix(spec))
+    got = spec.spectrum.eigenvalues
+    assert np.abs(got - want).max() <= rel * np.abs(want).max()
+
+
+@pytest.mark.parametrize("alpha, beta", REGION_PAIRS)
+@pytest.mark.parametrize("m, chain_sizes", [(720, [5, 3, 2]), (2520, [4, 3, 2, 2]), (10080, [6, 3, 2, 2])])
+def test_divisor_lattice_spectrum_is_the_chain_product(m, chain_sizes, alpha, beta, solved_sizes):
+    spec = latmat.divisor_closed_family(m, alpha, beta)
+    assert_matches_eigvalsh(spec)
+    assert solved_sizes == chain_sizes
+
+
+@pytest.mark.parametrize("m", [720, 2520, 10080])
+def test_chain_product_meets_smiths_determinant(m, solved_sizes):
+    # det of the GCD matrix on a divisor-closed set is the product of phi(x)
+    spec = latmat.divisor_closed_family(m, 1.0, 0.0)
+    want = math.prod(euler_phi(x) for x in latmat.divisors_of(m))
+    assert float(np.prod(spec.spectrum.eigenvalues)) == pytest.approx(want, rel=1e-12)
+    assert len(solved_sizes) == sum(m % q == 0 for q in (2, 3, 5, 7))  # one chain per prime
+
+
+def test_chain_product_edge_cases(solved_sizes):
+    assert latmat.divisor_closed_family(1, 1.0, 0.0).spectrum.eigenvalues.tolist() == [1.0]
+    assert solved_sizes == []
+    assert_matches_eigvalsh(latmat.divisor_closed_family(7919, -1.0, 1.0))
+    assert solved_sizes == [2]
+    # the primes come from the labels: no trial division up to sqrt(m)
+    q = 2**61 - 1
+    p = latmat.divisor_poset([1, 2, q, 2 * q])
+    t0 = time.perf_counter()
+    spec = CombinedSpec(1.0, 0.0, 0.0, 0.0, *identity_subset(p))
+    spec.spectrum
+    assert time.perf_counter() - t0 < 0.25
+    assert_matches_eigvalsh(spec)
+    assert solved_sizes == [2, 2, 2]
+
+
+def _multiplicative_with_negative_two(p):
+    sign = {1: 1, 2: -1, 3: 1, 4: 1, 6: -1, 12: 1}
+    return PosetFunction(p, [sign[x] * x for x in p.elements])
+
+
+def _perturbed_at_six(p):
+    return PosetFunction(p, [np.nextafter(6.0, 7.0) if x == 6 else float(x) for x in p.elements])
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda p: (p.subset([1, 2, 3, 4, 6]), PosetFunction.identity(p)),
+        lambda p: (p.subset(p.elements), PosetFunction.from_name(p, "const:2")),
+        lambda p: (p.subset(p.elements), _perturbed_at_six(p)),
+        lambda p: (p.subset(p.elements), _multiplicative_with_negative_two(p)),
+        lambda p: identity_subset(latmat.parse_poset(latmat.format_poset(p))),
+        lambda p: identity_subset(latmat.divisor_poset([1, 2, 3, 4, 12])),
+        lambda p: identity_subset(latmat.divisor_poset([2, 4, 6, 12])),
+    ],
+    ids=["proper-subset", "const-2", "perturbed-composite", "nonpositive", "parsed-covers", "not-all-divisors", "no-one"],
+)
+def test_chain_product_falls_back_to_one_solve(make, solved_sizes):
+    s, f = make(latmat.divisor_poset(latmat.divisors_of(12)))
+    spec = CombinedSpec(1.0, 0.0, 0.0, 0.0, s, f)
+    assert_matches_eigvalsh(spec, rel=1e-12)
+    assert solved_sizes == [len(s)]
+
+
+def test_chain_product_leaves_errors_to_the_full_solve(solved_sizes):
+    s, f = identity_subset(latmat.divisor_poset(latmat.divisors_of(12)))
+    with pytest.raises(latmat.SpectraError, match="not symmetric"):
+        CombinedSpec(1.0, 0.0, 1.0, 0.0, s, f).spectrum  # gamma != delta
+    assert solved_sizes == [6]
+    other = PosetFunction.identity(latmat.divisor_poset(latmat.divisors_of(12)))
+    with pytest.raises(ValueError, match="different posets"):
+        CombinedSpec(1.0, 0.0, 0.0, 0.0, s, other).spectrum
+
+
+def test_chain_product_overflow_raises():
+    # each chain's eigenvalues are finite, but 2^600 * 3^600 is not
+    with pytest.raises(latmat.SpectraError, match="not finite"):
+        latmat.divisor_closed_family(6, 600.0, 0.0).spectrum
