@@ -1,18 +1,20 @@
-"""Numerical kernels: one Jacobi eigensolver for a symmetric matrix, and
-the triangular-mask scan built on it.
+"""Numerical kernels: one Jacobi eigensolver for a symmetric matrix, and the
+K(n) mask scan that the c_n search runs only for `jobs`, `chunks` or
+`checkpoint_dir` (otherwise `constants.certify_cn` gives c_n).
 
-The K(n) scan bounds every Gram matrix in integers, a batch of 4096 masks
-at a time, and solves on its own each of the few that the bound cannot
-rule out.  The sweep follows the round-robin parallel ordering of Brent &
-Luk (1985): each step rotates n // 2 disjoint index pairs, so a step is a
-handful of numpy operations, and n - 1 steps (n for odd n) rotate every
-pair once.  Between steps the matrix is reordered so that the next step's
-pairs are adjacent rows and columns, which the rotation updates in place.
+The sweep follows the round-robin ordering of Brent & Luk (1985); odd n
+gains a zero index that pairs with the one sitting a step out.  A step takes
+its rotations in Python floats, then updates the rows and then the columns,
+each by one fused product on one gather of the step's pairs followed by the
+same pairs swapped.  Each entry rounds as in the array kernel kept in
+tests/test_jacobi_reference.py, and the zero index changes no bit, so the
+results match that kernel's bit for bit.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from math import sqrt
 
 import numpy as np
 
@@ -60,6 +62,28 @@ def _round_robin(n: int):
     return first, moves
 
 
+@lru_cache(maxsize=32)
+def _sweep_plan(n: int):
+    """`_round_robin(n)` as gathers for an m x m matrix, m = n + n % 2 (odd n
+    gains a zero index n, last in every step): (m, first, steps, zeros, back).
+    Step r reads its pairs' (a_pp, a_qq, a_pq) at the flat positions `params`,
+    then takes rows and columns from step r - 1's order (step 0's from its
+    own) by `gather`: its order, then that order with each pair swapped.
+    `zeros` holds every a_pq and a_qp, and `back` leads to step 0's order."""
+    first, moves = _round_robin(n)
+    m = n + n % 2
+    moves = np.hstack((moves, np.full((len(moves), m - n), n)))
+    orders = np.vstack((np.arange(m), moves))
+    prev, back = orders[:-1], orders[-1]
+    gathers = np.hstack((prev, prev[:, np.arange(m) ^ 1]))
+    p, q = prev[:, 0::2], prev[:, 1::2]
+    params = np.stack((p * (m + 1), q * (m + 1), p * m + q), 2).reshape(len(prev), 3 * (m // 2))
+    zeros = (np.arange(0, m, 2) * (m + 1) + np.array([[1], [m]])).ravel()
+    for arr in (gathers, params, zeros, back):
+        arr.flags.writeable = False  # shared by every caller through the cache
+    return m, first, list(zip(params, gathers)), zeros, back
+
+
 def as_float64(a) -> np.ndarray:
     """`a` as a float64 array; an entry past float64 raises SpectraError."""
     try:
@@ -80,13 +104,11 @@ def jacobi_eigenvalues(a: np.ndarray, tol: float = JACOBI_TOL):
     cap = JACOBI_MAX_SWEEPS
     a = as_float64(a)
     n = a.shape[-1]
-    first, moves = _round_robin(n)
-    half = n // 2
-    p, q = np.arange(0, 2 * half, 2), np.arange(1, 2 * half, 2)
-    ps, qs = slice(0, 2 * half, 2), slice(1, 2 * half, 2)  # p and q, indexing views
+    m, first, steps, zeros, back = _sweep_plan(n)
     diag = np.arange(n)
-    # rows and columns in step 0's order
-    work = a[first[:, None], first]
+    # rows and columns in step 0's order, odd n's zero index last
+    work = np.zeros((m, m))
+    work[:n, :n] = a[first[:, None], first]
     # The matrix is scaled by the power of two that puts its largest entry in
     # [1, 2), so the squares summed into its norms neither overflow nor all
     # underflow.  The scaling is exact, and so is undoing it on the
@@ -113,30 +135,28 @@ def jacobi_eigenvalues(a: np.ndarray, tol: float = JACOBI_TOL):
     thresh = tol * fro
     sweeps = 0
     while off > thresh and sweeps < cap:
-        for move in moves:
-            apq = work[p, q]
-            skip = apq == 0.0
-            with np.errstate(over="ignore"):
-                tau = (work[q, q] - work[p, p]) / (2.0 * np.where(skip, 1.0, apq))
-                # t = sign(tau) / (|tau| + root); a huge tau overflows root to
-                # inf, which correctly degrades the rotation to the identity
-                t = np.where(tau >= 0.0, 1.0, -1.0) / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
-            t[skip] = 0.0
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            s = t * c
-            # rows p and q, then columns p and q, rotated in place through views
-            for xp, xq, cr, sr in (
-                (work[ps], work[qs], c[:, None], s[:, None]),
-                (work[:, ps], work[:, qs], c, s),
-            ):
-                sxq = sr * xq
-                xq *= cr
-                xq += sr * xp
-                xp *= cr
-                xp -= sxq
-            work[p, q] = 0.0
-            work[q, p] = 0.0
-            work = work[move[:, None], move]
+        for params, gather in steps:
+            # Python floats round as arrays do; a huge tau gives the identity
+            cs, sn = [], []
+            vals = iter(work.take(params).tolist())
+            for app, aqq, apq in zip(vals, vals, vals):
+                t = 0.0
+                if apq != 0.0:
+                    tau = (aqq - app) / (2.0 * apq)
+                    t = (1.0 if tau >= 0.0 else -1.0) / (abs(tau) + sqrt(1.0 + tau * tau))
+                c = 1.0 / sqrt(1.0 + t * t)
+                cs += (c, c)
+                sn += (-t * c, t * c)
+            # rows, then columns: (c p - s q, c q + s p) from one gather each
+            coef = np.array(cs + sn)
+            x = work.take(gather, 0)
+            x *= coef[:, None]
+            work = x[:m] + x[m:]
+            x = work.take(gather, 1)
+            x *= coef
+            work = x[:, :m] + x[:, m:]
+            work.put(zeros, 0.0)
+        work = work.take(back, 0).take(back, 1)
         off = norms(work)[1]
         sweeps += 1
     with np.errstate(over="ignore"):  # an eigenvalue past float64 raises below
