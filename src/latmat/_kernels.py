@@ -97,12 +97,14 @@ def jacobi_eigenvalues(a: np.ndarray, tol: float = JACOBI_TOL):
     sweeps, off-diagonal residual).
 
     Iterates until the off-diagonal Frobenius norm is at most tol * the
-    Frobenius norm; raises SpectraError if that takes more than
-    JACOBI_MAX_SWEEPS sweeps, or if an eigenvalue is not finite.  `a` is not
-    modified.
+    Frobenius norm; raises SpectraError if an entry is not finite, if that
+    takes more than JACOBI_MAX_SWEEPS sweeps, or if an eigenvalue overflows
+    float64.  `a` is not modified.
     """
     cap = JACOBI_MAX_SWEEPS
     a = as_float64(a)
+    if not np.isfinite(a).all():  # before the scaling, which could overflow
+        raise SpectraError("the matrix has an entry that is not finite")
     n = a.shape[-1]
     m, first, steps, zeros, back = _sweep_plan(n)
     diag = np.arange(n)
@@ -130,8 +132,7 @@ def jacobi_eigenvalues(a: np.ndarray, tol: float = JACOBI_TOL):
         sq[diag, diag] = 0.0
         return total, np.sqrt(rowsum(rowsum(sq)))
 
-    with np.errstate(over="ignore"):  # an infinite norm stops at once
-        fro, off = norms(work)
+    fro, off = norms(work)
     thresh = tol * fro
     sweeps = 0
     while off > thresh and sweeps < cap:
@@ -167,9 +168,7 @@ def jacobi_eigenvalues(a: np.ndarray, tol: float = JACOBI_TOL):
             f"Jacobi iteration did not converge in {cap} sweeps (residual {residual:.3e})"
         )
     if not np.isfinite(eigenvalues).all():
-        if np.isfinite(a).all():
-            raise SpectraError("an eigenvalue overflows float64")
-        raise SpectraError("the matrix has an entry that is not finite")
+        raise SpectraError("an eigenvalue overflows float64")
     return eigenvalues, sweeps, residual
 
 

@@ -79,8 +79,8 @@ def resolve_c(n: int, choice: str) -> ConstantValue:
 def resolve_C(n: int, choice: str) -> ConstantValue:
     """Resolve a C-constant selector: exact | tn | number.
 
-    exact is one solve of the MIN matrix (constants.search_Cn), with no scan
-    and no size cap.
+    exact is the closed form of the MIN matrix's largest eigenvalue
+    (constants.search_Cn), with no scan, no eigensolve and no size cap.
     """
     if choice == "exact":
         return ConstantValue(constants.search_Cn(n).value, "exact")

@@ -150,7 +150,7 @@ def test_region_auto(capsys):
 
 
 def test_region_exact_past_the_scan_cap(capsys):
-    # C_n is one solve of the MIN matrix, so --C exact needs no scan of K(12)
+    # C_n has a closed form, so --C exact needs no scan of K(12)
     divisors = "divisors:1,2,3,4,5,6,10,12,15,20,30,60"
     assert run(["region", "--poset", divisors, "--func", "N", "--exp", "1,0,0,0", "--C", "exact"]) == 0
     out = capsys.readouterr().out

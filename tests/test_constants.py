@@ -322,6 +322,52 @@ def test_Cn_closed_form_and_all_ones_witness(scan_table):
         assert result.witness.bits == (1 << (n * (n - 1) // 2)) - 1
 
 
+def test_Cn_runs_no_solver(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("C_n has a closed form")
+
+    monkeypatch.setattr(latmat.spectra, "jacobi_eigenvalues", refuse)
+    monkeypatch.setattr(latmat._kernels, "jacobi_eigenvalues", refuse)
+    for n in range(1, 61):
+        result = latmat.search_Cn(n)
+        assert result.extremum == "max"
+        assert result.witness.bits == (1 << (n * (n - 1) // 2)) - 1
+        assert result.matrices_scanned == 1 << (n * (n - 1) // 2)
+    with pytest.raises(ValueError, match="at least 1"):
+        latmat.search_Cn(0)
+
+
+def test_full_scan_solves_only_y0(monkeypatch):
+    solved = []
+    solve = latmat.spectra.jacobi_eigenvalues
+
+    def record(a, *args):
+        solved.append(np.array(a))
+        return solve(a, *args)
+
+    monkeypatch.setattr(latmat.spectra, "jacobi_eigenvalues", record)
+    rmin, rmax = latmat.full_scan(6)
+    inv = constants.y0_inverse(6)
+    assert len(solved) == 1
+    assert np.array_equal(solved[0], (inv.T @ inv).astype(np.float64))  # y0's value route
+    assert rmin.witness.bits == 22189 and rmax.witness.bits == (1 << 15) - 1
+
+
+def test_C6_is_correctly_rounded():
+    # 1 / (4 sin^2(pi / 26)) is 17.206857267400938998... (mpmath, 40
+    # digits), which rounds to this double
+    assert latmat.search_Cn(6).value == 17.206857267400938
+
+
+def test_Cn_matches_lapack_on_the_min_matrix():
+    for n in range(1, 201):
+        i = np.arange(1, n + 1, dtype=np.float64)
+        gram = np.minimum.outer(i, i)
+        # the benchmark oracle's eigenvalue tolerance
+        tol = (1e-12 + 50 * n * np.finfo(np.float64).eps) * np.linalg.norm(gram)
+        assert abs(latmat.search_Cn(n).value - np.linalg.eigvalsh(gram)[-1]) <= tol, n
+
+
 # -- the certified search --------------------------------------------------------
 
 

@@ -90,6 +90,15 @@ def test_an_eigenvalue_past_float64_raises():
         _kernels.jacobi_eigenvalues(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_entry_raises_before_the_scaling(bad):
+    # next to 1e308, scaling by the NaN's or inf's power of two would
+    # overflow; pytest turns an escaping RuntimeWarning into a failure
+    for a in ([[bad, 0.0], [0.0, 1e308]], [[1e308, bad], [bad, -1e308]]):
+        with pytest.raises(latmat.SpectraError, match="an entry that is not finite"):
+            _kernels.jacobi_eigenvalues(np.array(a))
+
+
 def _y0_value(n):
     """The scan's threshold: y0's Gram matrix, solved as every mask is."""
     return float(_kernels.gram_eigenvalues(n, latmat.constants.y0_mask(n).bits)[0])
