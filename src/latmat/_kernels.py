@@ -1,6 +1,7 @@
-"""Numerical kernels: one Jacobi eigensolver for a symmetric matrix, and the
-K(n) mask scan that the c_n search runs only for `jobs`, `chunks` or
-`checkpoint_dir` (otherwise `constants.certify_cn` gives c_n).
+"""Numerical kernels: one Jacobi eigensolver for a symmetric matrix, and a
+K(n) mask scan, ``scan_mask_range``, that nothing in the library calls
+(``constants.certify_cn`` gives c_n); the benchmark's tracer and the kernel
+tests still name it.
 
 The sweep follows the round-robin ordering of Brent & Luk (1985); odd n
 gains a zero index that pairs with the one sitting a step out.  A step takes
@@ -210,6 +211,10 @@ def gram_eigenvalues(n: int, mask: int) -> np.ndarray:
 
 def scan_mask_range(n: int, lo: int, hi: int, threshold: float):
     """Smallest Gram eigenvalue at most `threshold` over the masks in [lo, hi).
+
+    Nothing in the library calls this: c_n comes from
+    ``constants.certify_cn``.  The benchmark's tracer names it, and the
+    kernel tests check it against LAPACK.
 
     Returns (value, mask) for the smallest lambda_min(X X^T) <= threshold,
     the smallest mask winning a tie, or (inf, -1) if no mask in the range

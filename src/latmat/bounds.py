@@ -51,9 +51,9 @@ class HypothesisError(ValueError):
 class ConstantValue:
     """An extremal constant together with where it came from.
 
-    Provenance tokens: 'exact' (exhaustive search), 'y0' (conjectured
-    witness), 'thm52'/'thm53' (the two closed-form lower bounds), 'tn'
-    (closed-form upper bound), or 'user'.
+    Provenance tokens: 'exact' (the certified c_n search, or C_n's closed
+    form), 'y0' (conjectured witness), 'thm52'/'thm53' (the two closed-form
+    lower bounds), 'tn' (closed-form upper bound), or 'user'.
     """
 
     value: float

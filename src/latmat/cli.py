@@ -8,7 +8,6 @@ not converge.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from fractions import Fraction
 
@@ -130,24 +129,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("search", help="certified extremal-eigenvalue search over K(n)")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--extremum", choices=("min", "max", "both"), default="both")
-    sp.add_argument("--jobs", type=int, default=1, help="scan every mask over this many processes")
-    sp.add_argument("--checkpoint-dir", default=None, help="scan every mask, checkpointing here")
     sp.add_argument("--ledger", default=None, help="CSV ledger to append results to")
-    sp.add_argument(
-        "--i-know",
-        action="store_true",
-        help="waive the size cap: n = 60 for the search, and for a scan "
-        "(exponential in n(n-1)/2) n = 8 or LATMAT_MAX_N",
-    )
+    sp.add_argument("--i-know", action="store_true", help="waive the c_n search's size cap of n = 60")
 
     sp = sub.add_parser("verify-conjecture", help="certify whether the conjectured witness attains c_n")
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--jobs", type=int, default=1)
-    sp.add_argument("--checkpoint-dir", default=None)
 
     sp = sub.add_parser("table1", help="constants table: both lower bounds and c_n")
     sp.add_argument("--n", type=int, required=True, help="largest n (at most 7)")
-    sp.add_argument("--jobs", type=int, default=1)
 
     sub.add_parser("selftest", help="run the built-in invariant suite")
     return ap
@@ -159,54 +148,51 @@ def _cmd_build(args) -> int:
     return 0
 
 
+def _meet_side(spec):
+    return spec.subset, spec.f, spec.alpha
+
+
+def _join_side(spec):
+    return spec.subset, spec.f, spec.beta
+
+
+def _gram(a):
+    return {"A": a}, a @ a.T
+
+
+def _meet_closed(factors):
+    e, d = factors
+    return {"E": e, "D": np.diag(d)}, e @ np.diag(d) @ e.T
+
+
+def _join_closed(factors):
+    e, d = factors
+    return {"E": e, "D": np.diag(d)}, e.T @ np.diag(d) @ e
+
+
+def _structure(fac):
+    return {"core": fac.core, "G": fac.g}, fac.product()
+
+
+# --via: (operands taken from the spec, factor, its printed blocks and their
+# product, the matrix that product must equal).  The factor and the target
+# take the same operands: S, f and the route side's exponent, or the spec.
+_FACTOR_ROUTES = {
+    "ideal": (_meet_side, matrices.factor_ideal, _gram, matrices.meet_matrix),
+    "filter": (_join_side, matrices.factor_filter, _gram, matrices.join_matrix),
+    "meet-closed": (_meet_side, matrices.factor_meet_closed, _meet_closed, matrices.meet_matrix),
+    "join-closed": (_join_side, matrices.factor_join_closed, _join_closed, matrices.join_matrix),
+    "structure-meet": (lambda spec: (spec,), matrices.structure_meet, _structure, combined_matrix),
+    "structure-join": (lambda spec: (spec,), matrices.structure_join, _structure, combined_matrix),
+}
+
+
 def _cmd_factor(args) -> int:
     spec = _build_spec(args)
-    s, f = spec.subset, spec.f
     tol = args.tol if args.tol is not None else matrices.MATRIX_EQ_TOL
-    if args.via == "ideal":
-        a = matrices.factor_ideal(s, f, spec.alpha)
-        rec = a @ a.T
-        blocks = {"A": a}
-    elif args.via == "filter":
-        a = matrices.factor_filter(s, f, spec.beta)
-        rec = a @ a.T
-        blocks = {"A": a}
-    elif args.via == "meet-closed":
-        e, d = matrices.factor_meet_closed(s, f, spec.alpha)
-        rec = e @ np.diag(d) @ e.T
-        blocks = {"E": e, "D": np.diag(d)}
-    elif args.via == "join-closed":
-        e, d = matrices.factor_join_closed(s, f, spec.beta)
-        rec = e.T @ np.diag(d) @ e
-        blocks = {"E": e, "D": np.diag(d)}
-    elif args.via == "structure-meet":
-        fac = matrices.structure_meet(spec)
-        rec = fac.product()
-        blocks = {"core": fac.core, "G": fac.g}
-        m = combined_matrix(spec)
-    else:
-        fac = matrices.structure_join(spec)
-        rec = fac.product()
-        blocks = {"core": fac.core, "G": fac.g}
-        m = combined_matrix(spec)
-
-    if args.via in ("ideal", "filter"):
-        # these two factor the pure meet/join matrix of the relevant exponent
-        exp = spec.alpha if args.via == "ideal" else spec.beta
-        target = (
-            matrices.meet_matrix(s, f, exp)
-            if args.via == "ideal"
-            else matrices.join_matrix(s, f, exp)
-        )
-    elif args.via in ("meet-closed", "join-closed"):
-        exp = spec.alpha if args.via == "meet-closed" else spec.beta
-        target = (
-            matrices.meet_matrix(s, f, exp)
-            if args.via == "meet-closed"
-            else matrices.join_matrix(s, f, exp)
-        )
-    else:
-        target = m
+    operands, factor, reconstruct, target = _FACTOR_ROUTES[args.via]
+    blocks, rec = reconstruct(factor(*operands(spec)))
+    target = target(*operands(spec))
     scale = max(np.abs(target).max(), np.abs(rec).max(), 1e-300)
     residual = float(np.abs(target - rec).max()) / scale
     for name, block in blocks.items():
@@ -273,30 +259,24 @@ def _cmd_constants(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    cap = None
-    if args.i_know:
-        cap = max(constants.search_cap(), args.n)
-    rmin, rmax = constants.full_scan(
-        args.n, jobs=args.jobs, checkpoint_dir=args.checkpoint_dir, cap=cap
-    )
-    ledger = args.ledger
-    if ledger is None and args.checkpoint_dir is not None:
-        ledger = os.path.join(args.checkpoint_dir, "results.csv")
-    wanted = {"min": [rmin], "max": [rmax], "both": [rmin, rmax]}[args.extremum]
+    # only the sides asked: C_n has a closed form and no cap, c_n a search
+    wanted = []
+    if args.extremum in ("min", "both"):
+        wanted.append(constants.search_cn(args.n, args.n if args.i_know else None))
+    if args.extremum in ("max", "both"):
+        wanted.append(constants.search_Cn(args.n))
     for r in wanted:
         sys.stdout.write(
             f"n: {r.n}\nextremum: {r.extremum}\nvalue: {r.value:.17g}\n"
             f"witness_bits: {r.witness.bits}\nscanned: {r.matrices_scanned}\n"
         )
-        if ledger is not None:
-            constants.append_ledger(ledger, r)
+        if args.ledger is not None:
+            constants.append_ledger(args.ledger, r)
     return 0
 
 
 def _cmd_verify_conjecture(args) -> int:
-    chk = constants.verify_conjecture(
-        args.n, jobs=args.jobs, checkpoint_dir=args.checkpoint_dir
-    )
+    chk = constants.verify_conjecture(args.n)
     sys.stdout.write(
         f"n: {chk.n}\nc_n: {chk.c_n:.17g}\nkappa_y0: {chk.kappa_y0:.17g}\n"
         f"holds: {str(chk.holds).lower()}\nnodes: {chk.nodes}\nmargin: {chk.margin:.17g}\n"
@@ -305,7 +285,7 @@ def _cmd_verify_conjecture(args) -> int:
 
 
 def _cmd_table1(args) -> int:
-    rows = constants.table1(args.n, jobs=args.jobs)
+    rows = constants.table1(args.n)
     sys.stdout.write(constants.format_table1(rows))
     return 0
 

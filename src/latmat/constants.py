@@ -36,12 +36,10 @@ Python ints, so no float decides which masks are left:
 c_n is then the smallest value among the survivors, the smallest mask
 winning a tie.  Every value comes from one route, that of ``kappa_y0``:
 1 / lambda_max(Y^T Y), with Y^T Y formed in ints.  The search visits n^2 - 1
-prefixes (24 at n = 4) and keeps y0 alone, or y0 and mask 51 at n = 4.  A
-call with ``jobs``, ``chunks`` or ``checkpoint_dir`` still scans every mask,
-over ranges that run in parallel and can checkpoint for crash-safe resume,
-and values its winner by the same route.  ``search_Cn`` maximizes the
-largest eigenvalue, which the all-ones mask attains, so it is the closed
-form of the MIN matrix's largest eigenvalue and needs no scan or solve.
+prefixes (24 at n = 4) and keeps y0 alone, or y0 and mask 51 at n = 4.
+``search_Cn`` maximizes the largest eigenvalue, which the all-ones mask
+attains, so it is the closed form of the MIN matrix's largest eigenvalue
+and needs no scan or solve.
 """
 
 from __future__ import annotations
@@ -54,22 +52,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._kernels import mask_to_matrix, scan_mask_range
+from ._kernels import mask_to_matrix
 from .spectra import eigen_symmetric
 
-DEFAULT_MAX_N = 8
+DEFAULT_MAX_N = 8  # enumerate_kn's cap: 2^28 masks
 CERTIFY_MAX_N = 60  # the certified search takes about 0.4 s there
-
-
-def search_cap() -> int:
-    """Hard size cap for the exhaustive scan; LATMAT_MAX_N overrides it."""
-    raw = os.environ.get("LATMAT_MAX_N")
-    if raw is None:
-        return DEFAULT_MAX_N
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"LATMAT_MAX_N must be an integer, got {raw!r}") from None
 
 
 @dataclass(frozen=True)
@@ -100,21 +87,16 @@ class SearchResult:
     matrices_scanned: int
 
 
-def _check_n(n: int, cap: int | None = None, what: str = "scan") -> None:
-    cap = search_cap() if cap is None else cap
+def _check_n(n: int, cap: int, what: str, why: str) -> None:
     if n < 1:
         raise ValueError("n must be at least 1")
     if n > cap:
-        if what == "scan":
-            why = "2**(n(n-1)/2) grows fast; raise LATMAT_MAX_N or"
-        else:
-            why = "its time grows about as n**4;"
-        raise ValueError(f"n={n} exceeds the {what} cap {cap} ({why} pass the override to proceed)")
+        raise ValueError(f"n={n} exceeds the {what} cap {cap} ({why}; pass the override to proceed)")
 
 
 def enumerate_kn(n: int, cap: int | None = None):
     """Every K(n) mask exactly once, in ascending bit-pattern order."""
-    _check_n(n, cap)
+    _check_n(n, DEFAULT_MAX_N if cap is None else cap, "enumeration", "2**(n(n-1)/2) grows fast")
 
     def _iterate():
         for bits in range(1 << (n * (n - 1) // 2)):
@@ -302,7 +284,7 @@ def certify_cn(n: int, cap: int | None = None) -> Certificate:
     A depth-first search with an explicit stack over the bits of X, row by
     row; see the module docstring for the bound and the pruning rule.
     """
-    _check_n(n, CERTIFY_MAX_N if cap is None else cap, "search")
+    _check_n(n, CERTIFY_MAX_N if cap is None else cap, "search", "its time grows about as n**4")
     y0 = y0_inverse(n)
     g0 = y0.T @ y0
     v = _top_vector(g0)
@@ -332,138 +314,19 @@ def _least(n: int, values: dict) -> SearchResult:
     return SearchResult(n, "min", value, TriangularMask(n, mask), 1 << (n * (n - 1) // 2))
 
 
-# -- exhaustive scan ----------------------------------------------------------
+def search_cn(n: int, cap: int | None = None) -> SearchResult:
+    """Global minimum of the smallest Gram eigenvalue over K(n), with witness.
 
-
-def _chunk_worker(args):
-    return scan_mask_range(*args)
-
-
-def _checkpoint_path(directory, n, chunk):
-    return os.path.join(directory, f"scan_n{n}_chunk{chunk:05d}.txt")
-
-
-def _write_checkpoint(path, n, lo, hi, part):
-    value, mask = part
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(f"n={n}\n")
-        fh.write(f"lo={lo}\n")
-        fh.write(f"hi={hi}\n")
-        fh.write(f"scanned={hi - lo}\n")
-        fh.write(f"min_value={value:.17g}\n")
-        fh.write(f"min_pattern={mask}\n")
-    os.replace(tmp, path)  # write-then-rename keeps resume crash-safe
-
-
-def _read_checkpoint(path, n, lo, hi):
-    if not os.path.exists(path):
-        return None
-    fields = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or "=" not in line:
-                continue
-            key, val = line.split("=", 1)
-            fields[key] = val
-    try:
-        if int(fields["n"]) != n or int(fields["lo"]) != lo or int(fields["hi"]) != hi:
-            return None
-        return float(fields["min_value"]), int(fields["min_pattern"])
-    except (KeyError, ValueError):
-        return None
-
-
-def _scan(n: int, jobs: int, checkpoint_dir: str | None, chunks: int | None, cap: int | None):
-    """c_n by scanning every mask, over ranges that can run in parallel and
-    checkpoint.  Each range keeps the masks whose Jacobi value reaches y0's
-    plus a slack far above Jacobi's error, so y0's range keeps y0 itself;
-    each range's winner is then valued as the search's survivors are."""
-    _check_n(n, cap)
-    y0 = y0_mask(n).bits
-    c0 = kappa_y0(n)
-    threshold = c0 + 1e-9 * n * (n + 1) / 2
-    total = 1 << (n * (n - 1) // 2)
-    if chunks is None:
-        chunks = 256 if n >= 8 else 32
-    chunks = max(1, min(chunks, total))
-    step = -(-total // chunks)
-    ranges = [(lo, min(lo + step, total)) for lo in range(0, total, step)]
-
-    def valued(part):
-        value, mask = part
-        if mask < 0:
-            return part
-        return (c0 if mask == y0 else mask_value(n, mask)), mask
-
-    parts: list = [None] * len(ranges)
-    pending = []
-    if checkpoint_dir is not None:
-        os.makedirs(checkpoint_dir, exist_ok=True)
-    for k, (lo, hi) in enumerate(ranges):
-        if checkpoint_dir is not None:
-            cached = _read_checkpoint(_checkpoint_path(checkpoint_dir, n, k), n, lo, hi)
-            if cached is not None:
-                parts[k] = cached
-                continue
-        pending.append((k, lo, hi))
-
-    args = [(n, lo, hi, threshold) for _, lo, hi in pending]
-    if jobs > 1 and len(pending) > 1:
-        from concurrent.futures import ProcessPoolExecutor  # 18 ms of import
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            found = list(pool.map(_chunk_worker, args))
-    else:
-        found = map(_chunk_worker, args)
-    for (k, lo, hi), part in zip(pending, found):
-        parts[k] = valued(part)
-        if checkpoint_dir is not None:
-            _write_checkpoint(_checkpoint_path(checkpoint_dir, n, k), n, lo, hi, parts[k])
-
-    value, mask = min(parts)  # the smallest value, the smallest mask winning a tie
-    return SearchResult(n, "min", value, TriangularMask(n, mask), total)
-
-
-def _scans(jobs: int, checkpoint_dir: str | None, chunks: int | None) -> bool:
-    return jobs > 1 or checkpoint_dir is not None or chunks is not None
-
-
-def _search_min(n, jobs=1, checkpoint_dir=None, chunks=None, cap=None) -> SearchResult:
-    if _scans(jobs, checkpoint_dir, chunks):
-        return _scan(n, jobs, checkpoint_dir, chunks, cap)
+    The result comes from ``certify_cn``, whose proof covers every mask, so
+    all 2^(n(n-1)/2) count as scanned.  `cap` overrides the search's cap,
+    CERTIFY_MAX_N.  Nothing is cached: each call certifies afresh.
+    """
     return _least(n, _certified(n, cap)[1])
 
 
-def full_scan(
-    n: int,
-    jobs: int = 1,
-    checkpoint_dir: str | None = None,
-    chunks: int | None = None,
-    cap: int | None = None,
-):
-    """c_n and C_n over all of K(n): (min SearchResult, max SearchResult).
-
-    The min result comes from ``certify_cn``, whose proof covers every mask,
-    so all 2^(n(n-1)/2) count as scanned.  Only a call with `jobs` > 1,
-    `chunks` or `checkpoint_dir` scans them, and only that call is held to
-    the scan's cap (``search_cap``); the search's own cap is CERTIFY_MAX_N.
-    `cap` overrides whichever applies.  The max result is ``search_Cn(n)``.
-    """
-    return _search_min(n, jobs, checkpoint_dir, chunks, cap), search_Cn(n)
-
-
-_scan_cache: dict = {}  # n -> search_cn(n); C_n is not needed for c_n
-
-
-def search_cn(n: int, **kwargs) -> SearchResult:
-    """Global minimum of the smallest Gram eigenvalue over K(n), with witness."""
-    if kwargs:
-        return _search_min(n, **kwargs)
-    if n not in _scan_cache:
-        _scan_cache[n] = _search_min(n)
-    return _scan_cache[n]
+def full_scan(n: int, cap: int | None = None):
+    """c_n and C_n over all of K(n): (``search_cn(n, cap)``, ``search_Cn(n)``)."""
+    return search_cn(n, cap), search_Cn(n)
 
 
 def search_Cn(n: int) -> SearchResult:
@@ -613,22 +476,17 @@ def kappa_y0(n: int) -> float:
     return _inverse_gram_value(y0_inverse(n))
 
 
-def verify_conjecture(
-    n: int, jobs: int = 1, checkpoint_dir: str | None = None, chunks: int | None = None
-) -> ConjectureCheck:
+def verify_conjecture(n: int) -> ConjectureCheck:
     """Decide by ``certify_cn`` whether y0 attains c_n.
 
     `holds` is true iff y0 has the smallest value among the survivors: every
     other mask is proven above kappa(y0) in integers.  c_n is that smallest
-    value, or the winner of a scan if `jobs`, `checkpoint_dir` or `chunks`
-    asks for one.
+    value.
     """
     cert, values = _certified(n)
     best = _least(n, values)
     y0 = y0_mask(n).bits
     holds = best.witness.bits == y0
-    if _scans(jobs, checkpoint_dir, chunks):
-        best = _scan(n, jobs, checkpoint_dir, chunks, None)
     return ConjectureCheck(n, holds, best.value, values[y0], cert.nodes, cert.margin)
 
 
@@ -640,13 +498,13 @@ class TableRow:
     c_n: float
 
 
-def table1(n_max: int, **search_kwargs) -> list:
+def table1(n_max: int) -> list:
     """Rows (n, unconditional bound, conjecture-based bound, certified c_n)."""
     if not 1 <= n_max <= 7:
         raise ValueError("the constants table is produced for n_max between 1 and 7")
     rows = []
     for n in range(1, n_max + 1):
-        c = search_cn(n, **search_kwargs)
+        c = search_cn(n)
         rows.append(
             TableRow(n, cn_lower_bound_from_tn(n), cn_lower_bound_from_n0(n), c.value)
         )

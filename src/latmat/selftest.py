@@ -2,7 +2,7 @@
 
 Each check re-derives an identity the library relies on and compares against
 an independent computation.  Kept fast enough to run after installation, so
-the exhaustive scans stop at n = 5.
+the certified c_n searches stop at n = 5.
 """
 
 from __future__ import annotations

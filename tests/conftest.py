@@ -10,15 +10,13 @@ import latmat
 
 @pytest.fixture(scope="session")
 def scan_table():
-    """One full K(n) scan per n in 1..7, shared by every test that needs
+    """One certified full_scan per n in 1..7, shared by every test that needs
     exact extremal constants.  Wall time is recorded for the runtime budget."""
     results = {}
     t0 = time.perf_counter()
     for n in range(1, 8):
         results[n] = latmat.full_scan(n)
     elapsed = time.perf_counter() - t0
-    # later tests reuse the min sides
-    latmat.constants._scan_cache.update({n: pair[0] for n, pair in results.items()})
     return {"results": results, "elapsed": elapsed}
 
 

@@ -240,7 +240,6 @@ def test_exact_c_never_solves_for_C_n(monkeypatch):
         raise AssertionError("a lower bound does not need C_n")
 
     monkeypatch.setattr(latmat.constants, "search_Cn", refuse)
-    monkeypatch.setattr(latmat.constants, "_scan_cache", {})
     assert latmat.resolve_c(6, "exact").value == 0.014827585246472258  # perfbench's pinned c_6
 
 

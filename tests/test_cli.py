@@ -1,4 +1,5 @@
 import os
+import shlex
 
 import numpy as np
 import pytest
@@ -178,17 +179,16 @@ def test_constants_command_kappa_y0_positive_at_60(capsys):
 
 
 def test_search_command_with_ledger(tmp_path, capsys):
-    ck = str(tmp_path / "ck")
-    code = run(["search", "--n", "4", "--extremum", "both", "--checkpoint-dir", ck])
+    ledger = str(tmp_path / "results.csv")
+    code = run(["search", "--n", "4", "--extremum", "both", "--ledger", ledger])
     out = capsys.readouterr().out
     assert code == 0
     assert "extremum: min" in out and "extremum: max" in out
-    ledger = os.path.join(ck, "results.csv")
     lines = open(ledger).read().splitlines()
     assert lines[0] == "n,extremum,value,witness_bits,scanned"
     assert len(lines) == 3
-    # resume from checkpoints: same results, ledger grows
-    assert run(["search", "--n", "4", "--extremum", "min", "--checkpoint-dir", ck]) == 0
+    # a second run appends to the same ledger, without a second header
+    assert run(["search", "--n", "4", "--extremum", "min", "--ledger", ledger]) == 0
     assert len(open(ledger).read().splitlines()) == 4
 
 
@@ -196,6 +196,18 @@ def test_search_cap(capsys):
     # the certified search runs to n = 60; past it the cap holds
     assert run(["search", "--n", "61"]) == 2
     assert "cap" in capsys.readouterr().err
+    # C_n has a closed form and no cap, so only a side that needs c_n stops
+    assert run(["search", "--n", "100", "--extremum", "max"]) == 0
+    fields = dict(line.split(": ") for line in capsys.readouterr().out.splitlines())
+    assert fields["value"] == f"{latmat.search_Cn(100).value:.17g}"
+    for extremum in ("min", "both"):
+        assert run(["search", "--n", "100", "--extremum", extremum]) == 2
+        captured = capsys.readouterr()
+        assert "search cap 60" in captured.err and captured.out == ""
+    # --i-know waives that cap
+    assert run(["search", "--n", "61", "--extremum", "min", "--i-know"]) == 0
+    fields = dict(line.split(": ") for line in capsys.readouterr().out.splitlines())
+    assert fields["witness_bits"] == str(latmat.constants.y0_mask(61).bits)
 
 
 def test_verify_conjecture_command(capsys):
@@ -218,8 +230,6 @@ def test_search_runs_past_the_scan_cap(capsys):
     assert run(["search", "--n", "9", "--extremum", "min"]) == 0
     captured = capsys.readouterr()
     assert f"scanned: {1 << 36}" in captured.out and captured.err == ""
-    assert run(["search", "--n", "9", "--jobs", "2"]) == 2  # a scan keeps its cap
-    assert "scan cap 8" in capsys.readouterr().err
 
 
 def test_table1_command(capsys):
@@ -232,3 +242,17 @@ def test_selftest_command(capsys):
     assert run(["selftest"]) == 0
     out = capsys.readouterr().out
     assert "all checks passed" in out
+
+
+def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
+    # every line of the README's "Command line" block runs and exits 0, so a
+    # flag the CLI no longer has cannot stay in the docs
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        block = fh.read().split("## Command line", 1)[1].split("```", 2)[1]
+    lines = [line for line in block.splitlines() if line.strip()]
+    assert lines and all(line.startswith("latmat ") for line in lines)
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        assert run(shlex.split(line, comments=True)[1:]) == 0, line
+        capsys.readouterr()
