@@ -51,7 +51,6 @@ from .incidence import (
     down_convolution,
     is_semimultiplicative,
     parse_function,
-    power_value,
     real_power,
     up_convolution,
 )

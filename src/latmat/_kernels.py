@@ -29,7 +29,8 @@ class SpectraError(ValueError):
 
 
 def backend_name() -> str:
-    """Name of the kernel implementation; numpy is the only one."""
+    """Name of the kernel implementation; numpy is the only one.  Nothing in
+    the library calls it: the benchmark stamps it on each result line."""
     return "numpy"
 
 
@@ -93,12 +94,12 @@ def as_float64(a) -> np.ndarray:
         raise SpectraError("an entry overflows float64") from None
 
 
-def jacobi_eigenvalues(a: np.ndarray, tol: float = JACOBI_TOL):
+def jacobi_eigenvalues(a: np.ndarray):
     """Cyclic Jacobi on one symmetric matrix; returns (eigenvalues ascending,
     sweeps, off-diagonal residual).
 
-    Iterates until the off-diagonal Frobenius norm is at most tol * the
-    Frobenius norm; raises SpectraError if an entry is not finite, if that
+    Iterates until the off-diagonal Frobenius norm is at most 1e-12 ||a||_F
+    (JACOBI_TOL); raises SpectraError if an entry is not finite, if that
     takes more than JACOBI_MAX_SWEEPS sweeps, or if an eigenvalue overflows
     float64.  `a` is not modified.
     """
@@ -134,7 +135,7 @@ def jacobi_eigenvalues(a: np.ndarray, tol: float = JACOBI_TOL):
         return total, np.sqrt(rowsum(rowsum(sq)))
 
     fro, off = norms(work)
-    thresh = tol * fro
+    thresh = JACOBI_TOL * fro
     sweeps = 0
     while off > thresh and sweeps < cap:
         for params, gather in steps:

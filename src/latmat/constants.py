@@ -91,12 +91,12 @@ def _check_n(n: int, cap: int, what: str, why: str) -> None:
     if n < 1:
         raise ValueError("n must be at least 1")
     if n > cap:
-        raise ValueError(f"n={n} exceeds the {what} cap {cap} ({why}; pass the override to proceed)")
+        raise ValueError(f"n={n} exceeds the {what} cap {cap} ({why})")
 
 
-def enumerate_kn(n: int, cap: int | None = None):
+def enumerate_kn(n: int):
     """Every K(n) mask exactly once, in ascending bit-pattern order."""
-    _check_n(n, DEFAULT_MAX_N if cap is None else cap, "enumeration", "2**(n(n-1)/2) grows fast")
+    _check_n(n, DEFAULT_MAX_N, "enumeration", "2**(n(n-1)/2) grows fast")
 
     def _iterate():
         for bits in range(1 << (n * (n - 1) // 2)):
@@ -284,7 +284,8 @@ def certify_cn(n: int, cap: int | None = None) -> Certificate:
     A depth-first search with an explicit stack over the bits of X, row by
     row; see the module docstring for the bound and the pruning rule.
     """
-    _check_n(n, CERTIFY_MAX_N if cap is None else cap, "search", "its time grows about as n**4")
+    why = "its time grows about as n**4; waive it with cap= or `latmat search --i-know`"
+    _check_n(n, CERTIFY_MAX_N if cap is None else cap, "search", why)
     y0 = y0_inverse(n)
     g0 = y0.T @ y0
     v = _top_vector(g0)
@@ -324,9 +325,9 @@ def search_cn(n: int, cap: int | None = None) -> SearchResult:
     return _least(n, _certified(n, cap)[1])
 
 
-def full_scan(n: int, cap: int | None = None):
-    """c_n and C_n over all of K(n): (``search_cn(n, cap)``, ``search_Cn(n)``)."""
-    return search_cn(n, cap), search_Cn(n)
+def full_scan(n: int):
+    """c_n and C_n over all of K(n): (``search_cn(n)``, ``search_Cn(n)``)."""
+    return search_cn(n), search_Cn(n)
 
 
 def search_Cn(n: int) -> SearchResult:

@@ -106,14 +106,6 @@ class PosetFunction:
     def is_integer_valued(self) -> bool:
         return bool(np.all(self.values == np.rint(self.values)))
 
-    def power(self, label, alpha: float) -> float:
-        return real_power(self(label), alpha)
-
-
-def power_value(f: PosetFunction, x, alpha: float) -> float:
-    """f(x)**alpha under the real-power rules above."""
-    return f.power(x, alpha)
-
 
 def parse_function(parent: Poset, text: str) -> PosetFunction:
     """Parse the 'label value' per-line function file format."""
@@ -218,10 +210,10 @@ def _convolution(direction: str, f: PosetFunction, alpha: float, domain, leq) ->
     return ConvolutionVector(direction, float(alpha), domain, vals)
 
 
-def is_semimultiplicative(f: PosetFunction, s: ElementSubset | None = None, tol: float = SEMIMULT_TOL) -> bool:
+def is_semimultiplicative(f: PosetFunction, s: ElementSubset | None = None) -> bool:
     """Check f(x)f(y) = f(meet)f(join) for every pair of members of s (default:
-    every element of f's poset), to a relative tolerance.  A pair without a
-    unique meet or join raises LatticeError."""
+    every element of f's poset), to the relative tolerance SEMIMULT_TOL.  A
+    pair without a unique meet or join raises LatticeError."""
     if s is None:
         s = ElementSubset(f.parent, range(len(f.parent)), validate=False)
     if s.parent is not f.parent:
@@ -229,5 +221,5 @@ def is_semimultiplicative(f: PosetFunction, s: ElementSubset | None = None, tol:
     v = f.values
     lhs = np.outer(v[list(s.indices)], v[list(s.indices)])
     rhs = v[s.pair_indices("meet")] * v[s.pair_indices("join")]
-    mismatch = np.abs(lhs - rhs) > tol * np.maximum(1.0, np.abs(lhs))
+    mismatch = np.abs(lhs - rhs) > SEMIMULT_TOL * np.maximum(1.0, np.abs(lhs))
     return not np.triu(mismatch, 1).any()

@@ -364,8 +364,8 @@ def ideal_block_split(spec: CombinedSpec):
     return b @ b.T, c @ c.T
 
 
-def hadamard_diag_identity_check(a, b, c, d, tol: float = 1e-12) -> bool:
-    """Verify C (A o B) D = B o (C A D) for diagonal C and D."""
+def hadamard_diag_identity_check(a, b, c, d) -> bool:
+    """Verify C (A o B) D = B o (C A D) for diagonal C and D, to 1e-12 relative."""
     a, b, c, d = (np.asarray(m, dtype=np.float64) for m in (a, b, c, d))
     for m in (a, b, c, d):
         if m.shape != a.shape or m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -375,7 +375,7 @@ def hadamard_diag_identity_check(a, b, c, d, tol: float = 1e-12) -> bool:
             raise ValueError("third and fourth matrices must be diagonal")
     lhs = c @ (a * b) @ d
     rhs = b * (c @ a @ d)
-    return matrices_close(lhs, rhs, rel=tol)
+    return matrices_close(lhs, rhs, rel=1e-12)
 
 
 # -- matrix text output -------------------------------------------------------

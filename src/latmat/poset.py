@@ -138,10 +138,6 @@ class Poset:
     def leq(self, x, y) -> bool:
         return bool(self._leq[self.index_of(x), self.index_of(y)])
 
-    def comparable(self, x, y) -> bool:
-        i, j = self.index_of(x), self.index_of(y)
-        return bool(self._leq[i, j] or self._leq[j, i])
-
     @cached_property
     def covers(self) -> list:
         """Cover pairs (x, y) with x covered by y."""
@@ -237,20 +233,12 @@ class Poset:
 
     # -- subsets and intervals ----------------------------------------------
 
-    def subset(self, labels, *, reorder: bool = True) -> "ElementSubset":
-        """Wrap labels as an ElementSubset of this poset.
-
-        With reorder=True (default) the members are sorted by their position
-        in the poset, which always yields an admissible enumeration
-        (comparable members appear in order).  With reorder=False the given
-        order is validated instead.
+    def subset(self, labels) -> "ElementSubset":
+        """Wrap labels as an ElementSubset of this poset, the members sorted
+        by their position in the poset, which always yields an admissible
+        enumeration (comparable members appear in order).
         """
-        indices = [self.index_of(x) for x in labels]
-        if len(set(indices)) != len(indices):
-            raise PosetError("subset members must be distinct")
-        if reorder:
-            indices.sort()
-        return ElementSubset(self, indices)
+        return ElementSubset(self, sorted(self.index_of(x) for x in labels))
 
     def interval(self, a, b) -> "Poset":
         """The closed interval between a and b as a sub-poset."""

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import JACOBI_TOL, SpectraError, as_float64, jacobi_eigenvalues
+from ._kernels import SpectraError, as_float64, jacobi_eigenvalues
 
 SYMMETRY_TOL = 1e-12
 
@@ -40,18 +40,18 @@ def _as_square(m) -> np.ndarray:
     return m
 
 
-def eigen_symmetric(m, tol: float = JACOBI_TOL) -> Spectrum:
+def eigen_symmetric(m) -> Spectrum:
     """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
 
     The input must be symmetric to 1e-12 (relative to its largest entry);
-    convergence means the off-diagonal Frobenius norm falls below
-    tol * ||m||_F within 50 sweeps.
+    convergence means the off-diagonal Frobenius norm falls to at most
+    1e-12 ||m||_F within 50 sweeps.
     """
     m = _as_square(m)
     scale = max(1.0, float(np.abs(m).max())) if m.size else 1.0
     if m.size and float(np.abs(m - m.T).max()) > SYMMETRY_TOL * scale:
         raise SpectraError("matrix is not symmetric to working tolerance")
-    return Spectrum(*jacobi_eigenvalues(m, tol))
+    return Spectrum(*jacobi_eigenvalues(m))
 
 
 def kappa(m) -> float:
@@ -79,16 +79,13 @@ def spectral_norm(m) -> float:
     return float(np.sqrt(max(top, 0.0)))
 
 
-def is_positive_definite(m, tol: float | None = None) -> bool:
-    """True iff the smallest eigenvalue exceeds tol.
-
-    With tol=None a scale-aware default of 1e-9 * max(1, ||m||_F) is used, so
-    singular matrices computed in floating point classify as not definite.
+def is_positive_definite(m) -> bool:
+    """True iff the smallest eigenvalue exceeds 1e-9 * max(1, ||m||_F), a
+    scale-aware margin, so singular matrices computed in floating point
+    classify as not definite.
     """
     m = _as_square(m)
-    if tol is None:
-        tol = 1e-9 * max(1.0, frobenius_norm(m))
-    return eigen_symmetric(m).min > tol
+    return eigen_symmetric(m).min > 1e-9 * max(1.0, frobenius_norm(m))
 
 
 def determinant(m) -> float:

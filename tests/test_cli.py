@@ -210,6 +210,37 @@ def test_search_cap(capsys):
     assert fields["witness_bits"] == str(latmat.constants.y0_mask(61).bits)
 
 
+def test_cap_error_names_the_search_override(capsys):
+    # verify-conjecture has no override of its own; the message names the one
+    # that exists
+    assert run(["verify-conjecture", "--n", "61"]) == 2
+    captured = capsys.readouterr()
+    assert "search cap 60" in captured.err and "--i-know" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["build", "--tol", "1e-9"], 2),
+        (["factor", "--via", "ideal", "--tol", "1e-9"], 2),
+        (["bounds", "--tol", "1e-9"], 2),
+        (["region", "--tol", "1e-9"], 2),
+        (["bounds", "--format", "pretty"], 2),
+        (["region", "--format", "pretty"], 2),
+        (["build", "--format", "pretty"], 0),
+        (["factor", "--via", "ideal", "--format", "pretty"], 0),
+    ],
+    ids=["build-tol", "factor-tol", "bounds-tol", "region-tol", "bounds-format", "region-format",
+         "build-format", "factor-format"],
+)
+def test_matrix_command_flags(argv, code, capsys):
+    # --format is taken by the two commands that print matrices; no matrix
+    # command takes --tol
+    common = ["--poset", "divisors:1,2,3,4,6,12", "--func", "N", "--exp", "1,0,0,0"]
+    assert run(argv[:1] + common + argv[1:]) == code
+
+
 def test_verify_conjecture_command(capsys):
     assert run(["verify-conjecture", "--n", "3"]) == 0
     out = capsys.readouterr().out
@@ -242,6 +273,16 @@ def test_selftest_command(capsys):
     assert run(["selftest"]) == 0
     out = capsys.readouterr().out
     assert "all checks passed" in out
+
+
+def test_readme_library_quick_start_runs():
+    # the README's "Library quick start" block runs, so a public name the
+    # package no longer has cannot stay in the docs
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        block = fh.read().split("## Library quick start", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    assert "import latmat" in block
+    exec(compile(block, "README.md", "exec"), {})
 
 
 def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):

@@ -396,6 +396,16 @@ def test_search_cap_is_60_and_the_scan_cap_only_binds_a_scan():
     assert latmat.full_scan(9)[0].witness.bits == constants.y0_mask(9).bits
 
 
+def test_cap_errors_name_only_a_real_override():
+    with pytest.raises(ValueError, match="search cap 60") as exc:
+        latmat.search_cn(61)
+    assert "cap=" in str(exc.value) and "latmat search --i-know" in str(exc.value)
+    # enumerate_kn has no override, so its message names none
+    with pytest.raises(ValueError, match="enumeration cap 8") as exc:
+        latmat.enumerate_kn(9)
+    assert "override" not in str(exc.value)
+
+
 def test_search_writes_nothing(capsys):
     latmat.full_scan(8)
     latmat.verify_conjecture(8)

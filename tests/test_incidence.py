@@ -45,7 +45,7 @@ def test_reciprocal_power():
 def test_power_value_on_function():
     p = latmat.divisor_poset([1, 2, 4])
     f = PosetFunction.identity(p)
-    assert latmat.power_value(f, 4, -1.0) == 0.25
+    assert latmat.real_power(f(4), -1.0) == 0.25
 
 
 # -- function construction ------------------------------------------------------
