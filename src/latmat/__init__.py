@@ -91,17 +91,6 @@ from .poset import (
     gcd_lcm_closure,
     parse_poset,
 )
-from .spectra import (
-    SpectraError,
-    Spectrum,
-    determinant,
-    det_symmetric,
-    eigen_symmetric,
-    frobenius_norm,
-    is_positive_definite,
-    kappa,
-    spectral_norm,
-    spectral_radius,
-)
+from .spectra import SpectraError, Spectrum, eigen_symmetric
 
 __version__ = "0.1.0"

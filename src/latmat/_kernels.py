@@ -180,21 +180,14 @@ def jacobi_eigenvalues(a: np.ndarray):
 def tri_positions(n: int):
     """Row-major strictly-lower-triangular positions; bit k of a mask toggles
     entry (rows[k], cols[k]), least significant bit first."""
-    rows = []
-    cols = []
-    for i in range(1, n):
-        for j in range(i):
-            rows.append(i)
-            cols.append(j)
-    return np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64)
+    rows, cols = np.tril_indices(n, -1)
+    return rows.astype(np.int64), cols.astype(np.int64)
 
 
 def mask_to_matrix(n: int, mask: int) -> np.ndarray:
     rows, cols = tri_positions(n)
     x = np.eye(n, dtype=np.int64)
-    for k in range(rows.shape[0]):
-        if (mask >> k) & 1:
-            x[rows[k], cols[k]] = 1
+    x[rows, cols] = [(mask >> k) & 1 for k in range(rows.shape[0])]
     return x
 
 

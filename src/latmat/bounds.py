@@ -17,6 +17,7 @@ closed-form bounds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,10 +71,7 @@ def resolve_c(n: int, choice: str) -> ConstantValue:
         return ConstantValue(constants.cn_lower_bound_from_tn(n), "thm52")
     if choice == "thm53":
         return ConstantValue(constants.cn_lower_bound_from_n0(n), "thm53")
-    try:
-        return ConstantValue(float(choice), "user")
-    except ValueError:
-        raise ValueError(f"unknown c constant selector {choice!r}") from None
+    return _user_constant("c", choice)
 
 
 def resolve_C(n: int, choice: str) -> ConstantValue:
@@ -86,10 +84,18 @@ def resolve_C(n: int, choice: str) -> ConstantValue:
         return ConstantValue(constants.search_Cn(n).value, "exact")
     if choice == "tn":
         return ConstantValue(constants.t_n(n), "tn")
+    return _user_constant("C", choice)
+
+
+def _user_constant(name: str, choice: str) -> ConstantValue:
+    """A constant given as a number, which must be finite."""
     try:
-        return ConstantValue(float(choice), "user")
+        value = float(choice)
     except ValueError:
-        raise ValueError(f"unknown C constant selector {choice!r}") from None
+        raise ValueError(f"unknown {name} constant selector {choice!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"{name} constant {choice!r} is not a finite number")
+    return ConstantValue(value, "user")
 
 
 @dataclass(frozen=True)

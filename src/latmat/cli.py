@@ -8,6 +8,7 @@ not converge.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from fractions import Fraction
 
@@ -17,13 +18,16 @@ from . import bounds, constants, matrices, selftest
 from ._kernels import SpectraError
 from .incidence import PosetFunction, load_function
 from .matrices import CombinedSpec, combined_matrix, format_matrix, matrices_close
-from .poset import Poset, chain_poset, divisor_poset, load_poset
+from .poset import Poset, _parse_label, chain_poset, divisor_poset, load_poset
 
 
 def _parse_exponent(token: str) -> float:
     token = token.strip()
     if "/" in token:
-        return float(Fraction(token))
+        try:
+            return float(Fraction(token))
+        except OverflowError:  # a fraction past float64's range
+            return math.inf
     return float(token)
 
 
@@ -32,9 +36,13 @@ def _parse_exponents(text: str):
     if len(parts) != 4:
         raise ValueError("--exp needs four comma-separated exponents a,b,g,d")
     try:
-        return tuple(_parse_exponent(p) for p in parts)
+        values = tuple(_parse_exponent(p) for p in parts)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"bad exponent list {text!r}") from None
+    for token, value in zip(parts, values):
+        if not math.isfinite(value):
+            raise ValueError(f"exponent {token.strip()!r} in --exp is not a finite number")
+    return values
 
 
 def _load_poset_arg(arg: str) -> Poset:
@@ -63,15 +71,7 @@ def _load_function_arg(p: Poset, arg: str) -> PosetFunction:
 def _parse_set_arg(p: Poset, arg: str | None):
     if arg is None:
         return p.subset(p.elements)
-    labels = []
-    for tok in arg.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        try:
-            labels.append(int(tok))
-        except ValueError:
-            labels.append(tok)
+    labels = [_parse_label(tok.strip()) for tok in arg.split(",") if tok.strip()]
     if not labels:
         raise ValueError("--set is empty")
     return p.subset(labels)

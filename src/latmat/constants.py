@@ -52,7 +52,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._kernels import mask_to_matrix
+from ._kernels import mask_to_matrix, tri_positions
 from .spectra import eigen_symmetric
 
 DEFAULT_MAX_N = 8  # enumerate_kn's cap: 2^28 masks
@@ -411,25 +411,15 @@ def y0_matrix(n: int) -> np.ndarray:
     it, exactly where the row and column indices have opposite parity."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    y = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        y[i, i] = 1
-        for j in range(i):
-            if (i + j) % 2 == 1:  # 1-based i+j odd <=> 0-based i+j odd
-                y[i, j] = 1
+    y = np.eye(n, dtype=np.int64)
+    rows, cols = tri_positions(n)
+    y[rows, cols] = (rows + cols) % 2  # 1-based i+j odd <=> 0-based i+j odd
     return y
 
 
 def y0_mask(n: int) -> TriangularMask:
-    y = y0_matrix(n)
-    bits = 0
-    k = 0
-    for i in range(1, n):
-        for j in range(i):
-            if y[i, j]:
-                bits |= 1 << k
-            k += 1
-    return TriangularMask(n, bits)
+    bits = y0_matrix(n)[tri_positions(n)].tolist()
+    return TriangularMask(n, sum(bit << k for k, bit in enumerate(bits)))
 
 
 def n0_frobenius(n: int) -> float:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 
 import numpy as np
 
@@ -231,7 +231,7 @@ class Poset:
         m.setflags(write=False)
         return m
 
-    # -- subsets and intervals ----------------------------------------------
+    # -- subsets and the dual ----------------------------------------------
 
     def subset(self, labels) -> "ElementSubset":
         """Wrap labels as an ElementSubset of this poset, the members sorted
@@ -239,15 +239,6 @@ class Poset:
         enumeration (comparable members appear in order).
         """
         return ElementSubset(self, sorted(self.index_of(x) for x in labels))
-
-    def interval(self, a, b) -> "Poset":
-        """The closed interval between a and b as a sub-poset."""
-        ia, ib = self.index_of(a), self.index_of(b)
-        if not self._leq[ia, ib]:
-            raise PosetError(f"{a!r} is not below {b!r}; interval is undefined")
-        keep = np.nonzero(self._leq[ia, :] & self._leq[:, ib])[0]
-        sub = self._leq[np.ix_(keep, keep)]
-        return Poset([self._labels[k] for k in keep], sub, _validate=False)
 
     def dual(self) -> "Poset":
         """Order dual: elements reversed so the order stays a linear extension."""
@@ -332,16 +323,6 @@ class ElementSubset:
         mask = leq[:, list(self.indices)].any(axis=1)
         rest = [k for k in np.nonzero(mask)[0] if k not in self._member_set]
         return ElementSubset(self.parent, list(self.indices) + rest, validate=False)
-
-    def meet_of_all(self):
-        return reduce(self.parent.meet, self.labels)
-
-    def join_of_all(self):
-        return reduce(self.parent.join, self.labels)
-
-    def bounding_interval(self) -> Poset:
-        """The interval from the meet of S to the join of S."""
-        return self.parent.interval(self.meet_of_all(), self.join_of_all())
 
 
 @dataclass(frozen=True, repr=False)

@@ -63,6 +63,27 @@ def test_bad_exponents(capsys):
     assert "exponent" in capsys.readouterr().err.lower()
 
 
+@pytest.mark.parametrize(
+    "argv, bad",
+    [
+        (["build", "--exp=inf,0,0,0"], "'inf'"),
+        (["factor", "--via", "ideal", "--exp=nan,0,0,0"], "'nan'"),
+        (["bounds", "--exp", "1,0,0,0", "--c", "nan"], "'nan'"),
+        (["region", "--exp", "1,0,0,0", "--C", "inf"], "'inf'"),
+        (["build", f"--exp=1{'0' * 400}/3,0,0,0"], f"'1{'0' * 400}/3'"),
+    ],
+    ids=["exp-inf", "exp-nan", "c-nan", "C-inf", "exp-fraction-past-float64"],
+)
+def test_non_finite_number_exits_2_naming_it(argv, bad, capsys):
+    # a NaN or an infinity is an input error: no verdict, and the message
+    # says which value is wrong
+    common = ["--poset", "divisors:1,2,3,4,6,12", "--func", "N"]
+    assert run(argv[:1] + common + argv[1:]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert bad in captured.err and "not a finite number" in captured.err
+
+
 def test_unknown_flag_exits_2(capsys):
     assert run(["build", "--poset", "chain:2", "--func", "N", "--exp", "1,0,0,0", "--frobnicate"]) == 2
 

@@ -258,20 +258,6 @@ def test_cached_tables_keep_no_reference_cycle():
         gc.enable()
 
 
-def test_interval(divisors12):
-    sub = divisors12.interval(2, 12)
-    assert sub.elements == (2, 4, 6, 12)
-    assert sub.bottom == 2 and sub.top == 12
-    point = divisors12.interval(4, 4)
-    assert point.elements == (4,)
-    with pytest.raises(PosetError, match="not below"):
-        divisors12.interval(4, 6)
-
-
-def test_bounding_interval(divisors12):
-    assert divisors12.subset([4, 6]).bounding_interval().elements == (2, 4, 6, 12)
-
-
 def test_gcd_lcm_closure():
     closed = latmat.gcd_lcm_closure([4, 6])
     assert closed == [2, 4, 6, 12]
