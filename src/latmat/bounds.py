@@ -38,7 +38,7 @@ from .matrices import (
     factor_meet_closed,
     pair_ratios,
 )
-from .poset import ElementSubset, LatticeError, divisor_lattice, divisor_poset, divisors_of
+from .poset import ElementSubset, LatticeError, PosetError, _products, divisor_poset, divisors_of
 
 REPORT_TOL = 1e-9
 CONDITION_TOL = 1e-12
@@ -88,13 +88,15 @@ def resolve_C(n: int, choice: str) -> ConstantValue:
 
 
 def _user_constant(name: str, choice: str) -> ConstantValue:
-    """A constant given as a number, which must be finite."""
+    """A constant given as a number, which must be finite and positive, as c_n and C_n are."""
     try:
         value = float(choice)
     except ValueError:
         raise ValueError(f"unknown {name} constant selector {choice!r}") from None
     if not math.isfinite(value):
         raise ValueError(f"{name} constant {choice!r} is not a finite number")
+    if value <= 0.0:
+        raise ValueError(f"{name} constant {choice!r} is not positive")
     return ConstantValue(value, "user")
 
 
@@ -216,13 +218,12 @@ def _lower_bound(spec: CombinedSpec, c_value, side, convolution, a, b) -> BoundR
         conv = convolution(spec.f, a - b, s)
     except LatticeError as exc:
         raise HypothesisError(str(exc)) from None
-    for label, value in zip(conv.domain.labels, conv.values):
-        if value <= 0.0:
-            raise HypothesisError(
-                f"the {side}-side lower bound requires a strictly positive "
-                f"{conv.direction}-convolution on the {closure}; "
-                f"violated at {label!r} (value {value})"
-            )
+    for k in np.flatnonzero(conv.values <= 0.0)[:1]:
+        raise HypothesisError(
+            f"the {side}-side lower bound requires a strictly positive "
+            f"{conv.direction}-convolution on the {closure}; "
+            f"violated at {conv.domain.labels[k]!r} (value {conv.values[k]})"
+        )
     min_conv = float(conv.values[: len(s)].min())
     min_fpow = min(real_power(spec.f.value_at(i) ** 2, b - spec.gamma) for i in s.indices)
     bound = c_value.value * min_conv * min_fpow
@@ -252,22 +253,17 @@ def _check_ratio_condition(spec: CombinedSpec, exponent: float) -> None:
 
 
 def _finish_region(spec: CombinedSpec, side, c_value, d, fpow_exponent) -> RegionReport:
-    s = spec.subset
-    f = spec.f
-    max_fpow = max(real_power(abs(f.value_at(i)), fpow_exponent) for i in s.indices)
+    fs = spec.f.values[list(spec.subset.indices)]
+    max_fpow = float(powers_by_value(np.abs(fs), lambda v: real_power(v, fpow_exponent)).max())
     h = c_value.value * max_fpow * float(np.abs(d).max())
     diag_exp = spec.alpha + spec.beta - 2.0 * spec.gamma
-    discs = []
-    for i in s.indices:
-        center = real_power(f.value_at(i), diag_exp)
-        radius = h - real_power(abs(f.value_at(i)), diag_exp)
-        discs.append((center, radius))
+    centers = powers_by_value(fs, lambda v: real_power(v, diag_exp))
+    radii = h - powers_by_value(np.abs(fs), lambda v: real_power(v, diag_exp))
     eigs = spec.spectrum.eigenvalues
-    contained = all(
-        any(abs(lam - c) - r <= REPORT_TOL * max(1.0, abs(lam)) for c, r in discs)
-        for lam in eigs
-    )
-    return RegionReport(side, discs, d, h, c_value, eigs, contained)
+    slack = REPORT_TOL * np.maximum(1.0, np.abs(eigs))
+    inside = np.abs(eigs[:, None] - centers[None, :]) - radii[None, :] <= slack[:, None]
+    discs = list(zip(centers.tolist(), radii.tolist()))
+    return RegionReport(side, discs, d, h, c_value, eigs, bool(inside.any(axis=1).all()))
 
 
 def region_meet_closed(spec: CombinedSpec, c_value: ConstantValue) -> RegionReport:
@@ -314,9 +310,21 @@ def gcd_power_family(n: int, alpha: float, beta: float) -> CombinedSpec:
     """Spec for the n x n matrix with entries gcd(i,j)**alpha * lcm(i,j)**beta.
 
     S = {1..n} inside the divisor lattice generated by it (so all pairwise
-    lcm values exist), f the identity, gamma = delta = 0.
+    lcm values exist), f the identity, gamma = delta = 0.  That lattice is
+    the divisors of lcm(1..n), every product of one power p^0..p^k <= n of
+    each prime p <= n.
     """
-    lattice = divisor_lattice(range(1, n + 1))
+    if n < 1:
+        raise PosetError("closure needs positive integers")
+    if math.lcm(*range(1, n + 1)) >= 2**63:
+        raise PosetError("the lcm of the closure's inputs must be below 2**63")
+    chains = []
+    for q in range(2, n + 1):
+        if all(q % c[1] for c in chains):  # no smaller prime divides q
+            chains.append([1])
+            while chains[-1][-1] * q <= n:
+                chains[-1].append(chains[-1][-1] * q)
+    lattice = divisor_poset(_products(chains))
     s = lattice.subset(range(1, n + 1))
     f = PosetFunction.identity(lattice)
     return CombinedSpec(float(alpha), float(beta), 0.0, 0.0, s, f)

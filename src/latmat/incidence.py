@@ -1,5 +1,6 @@
 """Real-valued functions on poset elements and their Mobius convolutions,
-solved by forward substitution on the zeta relation, without Mobius values.
+computed without Mobius values: by forward substitution on the zeta
+relation, or, on a product of chains, by one difference per chain.
 
 Power evaluation follows the 0**0 = 1 convention throughout; zero base with
 a negative exponent and negative base with a non-integer exponent are domain
@@ -16,6 +17,7 @@ import numpy as np
 from .poset import ElementSubset, Poset, _parse_label
 
 SEMIMULT_TOL = 1e-9
+EXACT_POWER_BITS = 1 << 16  # the most bits one exact power may take
 
 
 class PowerDomainError(ValueError):
@@ -165,7 +167,15 @@ class ConvolutionVector:
 
 def exact_powers(values: np.ndarray, k: int):
     """values**k for integer-valued values as (numerator, denominator) in Python
-    ints, (v**k, 1) or (1, v**-k), one power per distinct value (0**0 = 1)."""
+    ints, (v**k, 1) or (1, v**-k), one power per distinct value (0**0 = 1).
+    Raises ValueError, before it forms any power, when one would take more
+    than EXACT_POWER_BITS bits, |k| * bit_length(max |v|)."""
+    top = int(round(float(np.abs(values).max(initial=0.0))))
+    if top > 1 and abs(k) * top.bit_length() > EXACT_POWER_BITS:
+        raise ValueError(
+            f"the exact power {top}**{abs(k)} would take about {abs(k) * top.bit_length()} bits, "
+            f"more than {EXACT_POWER_BITS}; use a smaller exponent"
+        )
     p = powers_by_value(values, lambda v: int(round(v)) ** abs(k)).astype(object)
     return (p, 1) if k >= 0 else (1, p)
 
@@ -173,26 +183,24 @@ def exact_powers(values: np.ndarray, k: int):
 def down_convolution(f: PosetFunction, alpha: float, s: ElementSubset) -> ConvolutionVector:
     """The g on the order ideal of S whose sum over w <= x is f(x)**alpha:
     g(w) is the sum of f(z)**alpha * mu(z, w) over z below w."""
-    return _convolution("down", f, alpha, s.order_ideal(), s.parent._leq)
+    return _convolution("down", f, alpha, s.order_ideal())
 
 
 def up_convolution(f: PosetFunction, alpha: float, s: ElementSubset) -> ConvolutionVector:
     """The down-convolution on the order dual (relation leq.T): the g on the order
     filter of S whose sum over w >= x is f(x)**alpha, g(w) = sum of mu(w, z) f(z)**alpha."""
-    return _convolution("up", f, alpha, s.order_filter(), s.parent._leq.T)
+    return _convolution("up", f, alpha, s.order_filter())
 
 
-def _convolution(direction: str, f: PosetFunction, alpha: float, domain, leq) -> ConvolutionVector:
-    """g(x) = f(x)**alpha - the sum of g(w) over w < x under leq, along a linear extension
-    of the domain, an ideal under leq, so each such w is solved before x.  The powers are
-    exact rationals (integer-valued f, integer exponent) or floats, which are dyadic: the
-    substitution runs in Python ints over one common denominator, one rounding per entry."""
+def _convolution(direction: str, f: PosetFunction, alpha: float, domain) -> ConvolutionVector:
+    """g(x) = f(x)**alpha - the sum of g(w) over the w below x (above x, direction "up")
+    in the domain, an ideal (a filter).  The powers are exact rationals (integer-valued f,
+    integer exponent) or floats, which are dyadic: g is solved in Python ints over one
+    common denominator, so it is exact, and each entry is rounded once."""
     if f.parent is not domain.parent:
         raise ValueError("function and subset live on different posets")
+    p = domain.parent
     idx = np.asarray(domain.indices, dtype=np.intp)
-    where = np.argsort(idx)[:: -1 if direction == "up" else 1]  # domain positions, extension order
-    below = leq.T[idx[where]][:, idx[where]]  # below[k, j]: the j-th is < the k-th
-    np.fill_diagonal(below, False)
     values = f.values[idx]  # powers in domain order: the first to raise is the first member's
     if f.is_integer_valued and alpha == int(alpha):
         num, den = exact_powers(values, int(alpha))
@@ -202,12 +210,25 @@ def _convolution(direction: str, f: PosetFunction, alpha: float, domain, leq) ->
         powers = powers_by_value(values, lambda v: real_power(v, alpha)).tolist()
         num, den = np.array([v.as_integer_ratio() for v in powers], dtype=object).reshape(-1, 2).T
     common = math.lcm(*np.ravel(den).tolist())
-    g = (num * (common // den))[where]
-    for k, row in enumerate(below):
-        g[k] -= sum(g[row])
-    vals = np.empty(len(g))
-    vals[where] = g / common
-    return ConvolutionVector(direction, float(alpha), domain, vals)
+    g = num * (common // den)
+    if p._chains is not None:
+        # mu(x, y) = mu(y/x): one difference per chain, g(x) -= g(x/q) on the ideal;
+        # the filter is an ideal in the keys top/x, where g(x) -= g(x*q)
+        keys = p._values[idx] if direction == "down" else p._values[-1] // p._values[idx]
+        order = np.argsort(keys)
+        for q in (chain[1] for chain in p._chains):
+            has = np.flatnonzero(keys % q == 0)
+            g[has] -= g[order[np.searchsorted(keys, keys[has] // q, sorter=order)]]
+    else:  # forward substitution along a linear extension of the domain
+        leq = p._leq.T if direction == "down" else p._leq
+        where = np.argsort(idx)[:: -1 if direction == "up" else 1]  # domain positions, extension order
+        below = leq[idx[where]][:, idx[where]]  # below[k, j]: the j-th is below the k-th
+        np.fill_diagonal(below, False)
+        solved = g[where]
+        for k, row in enumerate(below):
+            solved[k] -= sum(solved[row])
+        g[where] = solved
+    return ConvolutionVector(direction, float(alpha), domain, (g / common).astype(np.float64))
 
 
 def is_semimultiplicative(f: PosetFunction, s: ElementSubset | None = None) -> bool:

@@ -23,7 +23,7 @@ from .incidence import (
     real_power,
     up_convolution,
 )
-from .poset import ElementSubset, divisor_poset
+from .poset import ElementSubset
 from .spectra import SpectraError, Spectrum, eigen_symmetric
 
 MATRIX_EQ_TOL = 1e-10
@@ -111,25 +111,23 @@ class CombinedSpec:
         return spectrum
 
     def _chain_product(self) -> Spectrum | None:
-        """The spectrum from the prime chains, or None where ``spectrum`` says they do not apply."""
+        """The spectrum from the prime chains, or None where ``spectrum`` says they do not apply.
+        Each chain matrix is a principal block of the combined matrix on the union of
+        the chains, a subset of the poset, since each chain is meet and join closed."""
         s, f, p = self.subset, self.f, self.subset.parent
-        if (len(s) != len(p) or not p._divisor_order or self.gamma != self.delta or f.parent is not p
-                or p.elements[0] != 1 or (f.values <= 0.0).any()):
+        chains = p._chains  # 1, q, ..., q^e for each generator q
+        if (chains is None or len(s) != len(p) or self.gamma != self.delta or f.parent is not p
+                or (f.values <= 0.0).any()):
             return None
-        chains, rest = [], p.elements[-1]  # 1, q, ..., q^e for each prime q, while they are labels
-        for x in p.elements[1:]:  # on a divisor set, a label coprime to the primes so far is prime
-            if all(math.gcd(x, c[-1]) == 1 for c in chains):
-                chains.append([1])
-                while rest % x == 0 and chains[-1][-1] * x in p:
-                    rest //= x
-                    chains[-1].append(chains[-1][-1] * x)
-        terms, subs = [(1, 1.0)], []  # terms: (x, the product over the primes of f(p^v_p(x)))
-        for chain, q in zip(chains, map(divisor_poset, chains)):
+        terms = [(1, 1.0)]  # terms: (x, the product over the primes of f(p^v_p(x)))
+        for chain in chains:
             terms = [(d * x, v * f(x)) for d, v in terms for x in chain]
-            subs.append(replace(self, subset=q.subset(chain), f=PosetFunction(q, [f(x) for x in chain])))
         if sorted(terms) != list(zip(p.elements, f.values.tolist())):
             return None
-        parts = [eigen_symmetric(combined_matrix(sub)) for sub in subs]
+        union = p.subset({1}.union(*chains))
+        m = combined_matrix(replace(self, subset=union))
+        at = {x: k for k, x in enumerate(union.labels)}
+        parts = [eigen_symmetric(m[np.ix_(block, block)]) for block in ([at[x] for x in c] for c in chains)]
         with np.errstate(over="ignore", invalid="ignore"):
             products = reduce(np.multiply.outer, [part.eigenvalues for part in parts], np.ones(()))
         if not np.isfinite(products).all():
@@ -215,8 +213,7 @@ def g_matrix(s: ElementSubset, f: PosetFunction, exponent: float) -> np.ndarray:
     out = np.ones((n, n))
     if exponent == 0.0:
         return out
-    idx = list(s.indices)
-    below = s.parent._leq[np.ix_(idx, idx)]
+    below = s.parent._block(s.indices, s.indices)
     apart = ~(below | below.T)
     ratio, undefined = pair_ratios(s, f)
     for a, b in np.argwhere(apart & undefined)[:1]:
@@ -237,16 +234,16 @@ def factor_ideal(s: ElementSubset, f: PosetFunction, alpha: float = 1.0) -> np.n
     row i, column j is sqrt of the down-convolution at w_j when w_j lies
     below x_i, else zero.
     """
-    return _root_factor(s, down_convolution(f, alpha, s), s.parent._leq)
+    return _root_factor(s, down_convolution(f, alpha, s))
 
 
 def factor_filter(s: ElementSubset, f: PosetFunction, alpha: float = 1.0) -> np.ndarray:
     """n x m factor A with A A^T equal to the join matrix of f**alpha: the
     ideal factor on the order dual, columns over the order filter of S."""
-    return _root_factor(s, up_convolution(f, alpha, s), s.parent._leq.T)
+    return _root_factor(s, up_convolution(f, alpha, s))
 
 
-def _root_factor(s: ElementSubset, conv, leq: np.ndarray) -> np.ndarray:
+def _root_factor(s: ElementSubset, conv) -> np.ndarray:
     # entries down to -1e-12 * scale are roundoff from cancellation, read as 0
     scale = max(1.0, float(np.abs(conv.values).max(initial=0.0)))
     for k in np.flatnonzero(conv.values < -1e-12 * scale)[:1]:
@@ -254,14 +251,16 @@ def _root_factor(s: ElementSubset, conv, leq: np.ndarray) -> np.ndarray:
             f"convolution entry at {conv.domain.labels[k]!r} is negative ({conv.values[k]}); "
             "the square-root factorization needs nonnegative entries"
         )
-    below = leq[np.ix_(conv.domain.indices, s.indices)].T  # below[i, j]: w_j <= x_i
-    return below * np.sqrt(np.maximum(conv.values, 0.0))
+    p, domain = s.parent, conv.domain.indices
+    # [i, j]: w_j lies below x_i (above it, on the filter)
+    beyond = p._block(domain, s.indices).T if conv.direction == "down" else p._block(s.indices, domain)
+    return beyond * np.sqrt(np.maximum(conv.values, 0.0))
 
 
 def incidence_matrix(s: ElementSubset) -> np.ndarray:
     """E with e_ij = 1 iff x_j lies below x_i; unit lower triangular under
     the canonical subset ordering."""
-    return s.parent._leq[np.ix_(s.indices, s.indices)].T.astype(np.float64)
+    return s.parent._block(s.indices, s.indices).T.astype(np.float64)
 
 
 def factor_meet_closed(s: ElementSubset, f: PosetFunction, alpha: float = 1.0):
@@ -272,7 +271,8 @@ def factor_meet_closed(s: ElementSubset, f: PosetFunction, alpha: float = 1.0):
     """
     if not s.is_meet_closed():
         raise FactorizationError("set is not meet closed")
-    return incidence_matrix(s), _closed_d(down_convolution(f, alpha, s), s.indices, s.parent._leq)
+    conv = down_convolution(f, alpha, s)
+    return incidence_matrix(s), _closed_d(conv, s.parent._block(conv.domain.indices, s.indices))
 
 
 def factor_join_closed(s: ElementSubset, f: PosetFunction, alpha: float = 1.0):
@@ -284,15 +284,15 @@ def factor_join_closed(s: ElementSubset, f: PosetFunction, alpha: float = 1.0):
     """
     if not s.is_join_closed():
         raise FactorizationError("set is not join closed")
-    d = _closed_d(up_convolution(f, alpha, s), s.indices[::-1], s.parent._leq.T)
+    conv = up_convolution(f, alpha, s)
+    d = _closed_d(conv, s.parent._block(s.indices[::-1], conv.domain.indices).T)
     return incidence_matrix(s), d[::-1]
 
 
-def _closed_d(conv, members, leq: np.ndarray) -> np.ndarray:
-    """d_i: the convolution summed over the domain elements whose first member
-    above them under leq is members[i]."""
-    first = leq[np.ix_(conv.domain.indices, members)].argmax(axis=1)
-    return np.bincount(first, weights=conv.values, minlength=len(members))
+def _closed_d(conv, under: np.ndarray) -> np.ndarray:
+    """d_i: the convolution summed over the domain elements k for which i is
+    the first member with under[k, i]."""
+    return np.bincount(under.argmax(axis=1), weights=conv.values, minlength=under.shape[1])
 
 
 # -- structure factorizations -------------------------------------------------

@@ -1,4 +1,4 @@
-"""Finite posets and lattices backed by a dense order relation.
+"""Finite posets and lattices, with an order relation or with divisor labels.
 
 Elements are opaque hashable labels mapped to dense integer indices at
 construction time.  The stored element order is always a linear extension
@@ -7,9 +7,16 @@ True diagonal.  Posets are immutable once built and safe for concurrent
 reads; derived structures (cover relation, packed down-sets, Mobius
 table) are computed lazily and cached.
 
-Meets and joins are found only for the pairs asked, by one bit-set
-routine over the pairs of a member set S in O(|S|^2 * N/8) bytes.  The
-join side is the meet side on the order dual: the same set under the
+A poset built by ``divisor_poset`` is ordered by divisibility of its
+labels, and reads every block of the relation off them; its dense N x N
+relation is formed only when a caller asks for it.  When the labels are
+exactly the products of the powers q^0..q^e of pairwise coprime q, the
+order is a product of chains: the meet and join of a pair are the gcd and
+lcm of its labels (``Poset._chains``).
+
+Otherwise meets and joins are found only for the pairs asked, by one
+bit-set routine over the pairs of a member set S in O(|S|^2 * N/8) bytes.
+The join side is the meet side on the order dual: the same set under the
 transposed relation (``leq.T``, Mobius matrix ``mu.T``), renumbered
 i -> N-1-i so that it is again a linear extension, and read back through
 that index map.  The Mobius matrix is one int64 row recursion; no bound
@@ -79,10 +86,16 @@ def _pair_meets(down: np.ndarray, idx) -> tuple:
 
 
 class Poset:
-    """A finite partially ordered set with a precomputed order relation."""
+    """A finite partially ordered set: a dense order relation, or divisor labels."""
 
-    def __init__(self, labels, leq: np.ndarray, _validate: bool = True, _divisors: bool = False):
+    def __init__(self, labels, leq: np.ndarray | None, _validate: bool = True, _divisors: bool = False):
         labels = list(labels)
+        self._divisor_order = _divisors  # divisor_poset's: the order is divisibility of the labels
+        self._labels = tuple(labels)
+        self._index = {x: i for i, x in enumerate(self._labels)}
+        if _divisors:  # the relation is read off the labels; leq is None
+            self._values = np.array(labels, dtype=np.int64)
+            return
         leq = np.asarray(leq, dtype=bool)
         if _validate:
             n = len(labels)
@@ -98,12 +111,45 @@ class Poset:
                 raise PosetError("order relation is not transitive")
             if np.tril(leq, -1).any():
                 raise PosetError("element order is not a linear extension")
-        self._divisor_order = _divisors  # divisor_poset's: the order is divisibility of the labels
-        self._labels = tuple(labels)
-        self._index = {x: i for i, x in enumerate(self._labels)}
         leq = leq.copy()
         leq.setflags(write=False)
         self._leq = leq
+
+    @cached_property
+    def _leq(self) -> np.ndarray:
+        """The dense order relation; a divisor poset forms it from its labels on first use."""
+        every = np.arange(len(self))
+        leq = self._block(every, every)
+        leq.setflags(write=False)
+        return leq
+
+    def _block(self, rows, cols) -> np.ndarray:
+        """leq[np.ix_(rows, cols)]; a divisor poset reads it off its labels."""
+        if self._divisor_order:
+            v = self._values
+            return v[np.asarray(cols, dtype=np.intp)][None, :] % v[np.asarray(rows, dtype=np.intp)][:, None] == 0
+        return self._leq[np.ix_(rows, cols)]
+
+    @cached_property
+    def _chains(self):
+        """The chains [1, q, ..., q^e] of pairwise coprime q > 1 whose products,
+        one member of each chain, are exactly the labels of this divisor poset;
+        None if there are none.  The order is then their product: the meet
+        and join of x and y are gcd(x, y) and lcm(x, y), and mu(x, y) is the
+        product over the q of the chain's mu, so mu(x, y) = mu(y/x) on
+        the exponents (Rota 1964)."""
+        if not self._divisor_order or self._labels[0] != 1:
+            return None
+        chains, rest = [], self._labels[-1]  # 1, q, ..., q^e for each q, while they are labels
+        for x in self._labels[1:]:  # on a divisor set, a label coprime to the q so far is the next q
+            if rest == 1:  # the q so far divide the top: no later label is coprime to them
+                break
+            if all(math.gcd(x, c[-1]) == 1 for c in chains):
+                chains.append([1])
+                while rest % x == 0 and chains[-1][-1] * x in self._index:
+                    rest //= x
+                    chains[-1].append(chains[-1][-1] * x)
+        return chains if _products(chains) == list(self._labels) else None
 
     # -- basic queries ----------------------------------------------------
 
@@ -136,7 +182,7 @@ class Poset:
         return self._labels[i]
 
     def leq(self, x, y) -> bool:
-        return bool(self._leq[self.index_of(x), self.index_of(y)])
+        return bool(self._block([self.index_of(x)], [self.index_of(y)])[0, 0])
 
     @cached_property
     def covers(self) -> list:
@@ -146,12 +192,13 @@ class Poset:
 
     @cached_property
     def _bottom_index(self):
-        return 0 if len(self) and self._leq[0].all() else None
+        n = len(self)
+        return 0 if n and self._block([0], np.arange(n)).all() else None
 
     @cached_property
     def _top_index(self):
         n = len(self)
-        return n - 1 if n and self._leq[:, n - 1].all() else None
+        return n - 1 if n and self._block(np.arange(n), [n - 1]).all() else None
 
     @property
     def has_bottom(self) -> bool:
@@ -178,7 +225,12 @@ class Poset:
 
     def _pairs(self, bound: str, idx):
         """Index and status of the meet (bound "meet") or the join ("join") of
-        every pair of members idx: joins are the meets of the order dual."""
+        every pair of members idx: joins are the meets of the order dual.  On a
+        product of chains they are the gcd and lcm of the labels."""
+        if self._chains is not None:
+            v = self._values[np.asarray(idx, dtype=np.intp)]
+            table = np.searchsorted(self._values, (np.gcd if bound == "meet" else np.lcm).outer(v, v))
+            return table, np.full(table.shape, _OK, dtype=np.int8)
         if bound == "meet":
             return _pair_meets(self._down_rows[0], idx)
         n = len(self) - 1
@@ -259,12 +311,12 @@ class ElementSubset:
 
     def __init__(self, parent: Poset, indices, validate: bool = True):
         self.parent = parent
-        self.indices = tuple(int(i) for i in indices)
+        self.indices = tuple(map(int, indices))
         if len(set(self.indices)) != len(self.indices):
             raise PosetError("subset members must be distinct")
         if validate:
             idx = np.asarray(self.indices, dtype=np.intp)
-            for a, b in np.argwhere(np.tril(parent._leq[np.ix_(idx, idx)], -1))[:1]:
+            for a, b in np.argwhere(np.tril(parent._block(idx, idx), -1))[:1]:
                 raise PosetError(
                     f"subset order violates the comparability convention: "
                     f"{parent.label_of(idx[a])!r} precedes {parent.label_of(idx[b])!r} "
@@ -310,19 +362,18 @@ class ElementSubset:
         """
         if not self.parent.has_bottom:
             raise LatticeError("order ideal requires a bottom element")
-        return self._closure(self.parent._leq)
+        return self._closure(self.parent._block(np.arange(len(self.parent)), self.indices).any(axis=1))
 
     def order_filter(self) -> "ElementSubset":
         """Upward closure of S, members first: the order ideal under leq.T."""
         if not self.parent.has_top:
             raise LatticeError("order filter requires a top element")
-        return self._closure(self.parent._leq.T)
+        return self._closure(self.parent._block(self.indices, np.arange(len(self.parent))).any(axis=0))
 
-    def _closure(self, leq: np.ndarray) -> "ElementSubset":
-        """The members of S, then every other element below one under leq, in poset order."""
-        mask = leq[:, list(self.indices)].any(axis=1)
-        rest = [k for k in np.nonzero(mask)[0] if k not in self._member_set]
-        return ElementSubset(self.parent, list(self.indices) + rest, validate=False)
+    def _closure(self, mask: np.ndarray) -> "ElementSubset":
+        """The members of S, then every other element of mask, in poset order."""
+        mask[list(self.indices)] = False
+        return ElementSubset(self.parent, list(self.indices) + np.flatnonzero(mask).tolist(), validate=False)
 
 
 @dataclass(frozen=True, repr=False)
@@ -396,9 +447,7 @@ def divisor_poset(integers) -> Poset:
         raise PosetError("divisor poset entries must be positive")
     if vals[-1] >= 2**63:  # the labels are int64 below
         raise PosetError("divisor poset entries must be below 2**63")
-    a = np.array(vals, dtype=np.int64)
-    leq = (a[None, :] % a[:, None]) == 0
-    return Poset(vals, leq, _validate=False, _divisors=True)
+    return Poset(vals, None, _validate=False, _divisors=True)
 
 
 def chain_poset(n: int) -> Poset:
@@ -416,6 +465,15 @@ def divisors_of(m: int) -> list:
     small = [d for d in range(1, int(math.isqrt(m)) + 1) if m % d == 0]
     large = [m // d for d in reversed(small) if d * d != m]
     return small + large
+
+
+def _products(chains) -> list:
+    """Every product of one member of each chain, ascending; the products
+    must stay below 2**63."""
+    out = np.ones(1, dtype=np.int64)
+    for chain in chains:
+        out = np.multiply.outer(out, np.array(chain, dtype=np.int64)).ravel()
+    return np.sort(out).tolist()
 
 
 def gcd_lcm_closure(integers) -> list:

@@ -84,6 +84,30 @@ def test_non_finite_number_exits_2_naming_it(argv, bad, capsys):
     assert bad in captured.err and "not a finite number" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv, bad",
+    [
+        (["bounds", "--exp", "1,0,0,0", "--c", "0"], "c constant '0'"),
+        (["bounds", "--exp", "1,0,0,0", "--c", "-1"], "c constant '-1'"),
+        (["region", "--exp", "1,0,0,0", "--C", "-1"], "C constant '-1'"),
+    ],
+    ids=["c-zero", "c-negative", "C-negative"],
+)
+def test_constant_that_is_not_positive_exits_2(argv, bad, capsys):
+    # c_n and C_n are positive: no bound, no discs with negative radii
+    common = ["--poset", "divisors:1,2,3,4,6,12", "--func", "N"]
+    assert run(argv[:1] + common + argv[1:]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert bad in captured.err and "not positive" in captured.err
+
+
+def test_exact_power_past_the_budget_exits_2(capsys):
+    assert run(["build", "--poset", "divisors:1,2,3,4,6,12", "--func", "N", "--exp=100000,0,0,0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "use a smaller exponent" in captured.err
+
+
 def test_unknown_flag_exits_2(capsys):
     assert run(["build", "--poset", "chain:2", "--func", "N", "--exp", "1,0,0,0", "--frobnicate"]) == 2
 
