@@ -34,6 +34,7 @@ from .incidence import (
 from .matrices import (
     CombinedSpec,
     FactorizationError,
+    _chain_multiplicative,
     factor_join_closed,
     factor_meet_closed,
     pair_ratios,
@@ -252,18 +253,61 @@ def _check_ratio_condition(spec: CombinedSpec, exponent: float) -> None:
         )
 
 
+def _ratio_within_rounding(spec: CombinedSpec, k: int, exponent: float) -> bool:
+    """Whether the rounding bound below proves the ratio condition for every
+    pair, on S the whole product of k chains with f passing
+    ``matrices._chain_multiplicative``, so that no pair table is needed.
+
+    Premises, checked here in O(N): f(1) = 1; every f value lies in
+    [2**-511, 2**512), so every product of two lies in float64's normal
+    range; and |exponent| * 4k * u <= CONDITION_TOL / 8, u = 2**-53.
+
+    Proof.  f(x) is the float product r_k of f at x's chain members x_j,
+    r_0 = 1.0, r_j = fl(r_(j-1) f(x_j)).  As f(1) = 1, r_j is f at the label
+    x_1...x_j (the later factors f(1) multiply exactly), so every r_j is
+    normal and r_j = r_(j-1) f(x_j) (1 + d_j) with |d_j| <= u, d_1 = 0: f(x) is
+    the exact product P(x) times k-1 such factors.  The meet and the join
+    take each chain's smaller and larger member of x and y, so
+    P(meet) P(join) = P(x) P(y) exactly.  pair_ratios forms
+    fl(fl(f(meet) f(join)) / fl(f(x) f(y))), whose products are normal and
+    whose quotient is near 1, so each rounds once more with |d| <= u.  The
+    computed ratio is then 4k-1 factors (1 + d)**(+-1), and
+    |ratio - 1| <= g = (4k-1)u / (1 - (4k-1)u) (Higham, Accuracy and Stability
+    of Numerical Algorithms, Lemma 3.1).  The labels are below 2**63, so
+    k <= 15 and |ln ratio| <= g / (1 - g) <= 1.01 * 4k * u, and the exact
+    ratio**exponent is at most exp(1.01 * CONDITION_TOL / 8) < 1 + 0.13 *
+    CONDITION_TOL.  real_power returns C pow()'s value; even 1000 ulp of error
+    near 1 (2.3e-13) leaves it below the float 1 + CONDITION_TOL that the
+    table compares with, and f > 0 leaves no ratio undefined, so no pair of
+    the table would fail.
+    """
+    fs = spec.f.values
+    return (
+        abs(exponent) * 4 * k * 2.0**-53 <= CONDITION_TOL / 8
+        and fs[0] == 1.0
+        and 2.0**-511 <= fs.min()
+        and fs.max() < 2.0**512
+    )
+
+
 def _finish_region(spec: CombinedSpec, side, c_value, d, fpow_exponent) -> RegionReport:
     fs = spec.f.values[list(spec.subset.indices)]
     max_fpow = float(powers_by_value(np.abs(fs), lambda v: real_power(v, fpow_exponent)).max())
     h = c_value.value * max_fpow * float(np.abs(d).max())
     diag_exp = spec.alpha + spec.beta - 2.0 * spec.gamma
     centers = powers_by_value(fs, lambda v: real_power(v, diag_exp))
-    radii = h - powers_by_value(np.abs(fs), lambda v: real_power(v, diag_exp))
+    radii = h - (centers if (fs >= 0.0).all() else powers_by_value(np.abs(fs), lambda v: real_power(v, diag_exp)))
     eigs = spec.spectrum.eigenvalues
     slack = REPORT_TOL * np.maximum(1.0, np.abs(eigs))
-    inside = np.abs(eigs[:, None] - centers[None, :]) - radii[None, :] <= slack[:, None]
+    step = max(1, (1 << 15) // max(1, len(centers)))  # rows of eigenvalues: 256 KB temporaries
+    contained = all(
+        (np.abs(eigs[k : k + step, None] - centers[None, :]) - radii[None, :] <= slack[k : k + step, None])
+        .any(axis=1)
+        .all()
+        for k in range(0, len(eigs), step)
+    )
     discs = list(zip(centers.tolist(), radii.tolist()))
-    return RegionReport(side, discs, d, h, c_value, eigs, bool(inside.any(axis=1).all()))
+    return RegionReport(side, discs, d, h, c_value, eigs, contained)
 
 
 def region_meet_closed(spec: CombinedSpec, c_value: ConstantValue) -> RegionReport:
@@ -273,23 +317,42 @@ def region_meet_closed(spec: CombinedSpec, c_value: ConstantValue) -> RegionRepo
     value H = C * max |f|^(2(beta-gamma)) * max |d_i|, where d is that of
     factor_meet_closed for f**(alpha-beta).
     """
-    return _region(spec, c_value, "meet", factor_meet_closed, spec.alpha, spec.beta)
+    return _region(spec, c_value, "meet", factor_meet_closed, down_convolution, spec.alpha, spec.beta)
 
 
 def region_join_closed(spec: CombinedSpec, c_value: ConstantValue) -> RegionReport:
     """Disc-union eigenvalue region for a join closed index set: the meet
     closed region on the order dual, with alpha and beta swapped."""
-    return _region(spec, c_value, "join", factor_join_closed, spec.beta, spec.alpha)
+    return _region(spec, c_value, "join", factor_join_closed, up_convolution, spec.beta, spec.alpha)
 
 
-def _region(spec: CombinedSpec, c_value, side, factor, a, b) -> RegionReport:
+def _region(spec: CombinedSpec, c_value, side, factor, convolution, a, b) -> RegionReport:
+    """The region for the meet side's (alpha, beta) = (a, b); the join side
+    passes its dual.
+
+    When S is every element of a product of chains (``Poset._chains``), in
+    poset order, and f passes ``matrices._chain_multiplicative``, the
+    structure settles the hypotheses: a product of chains is a lattice, so S
+    is meet and join closed, and every element is its own first member, so
+    the d of the diagonal factorization is the convolution itself, with no
+    incidence matrix E.  The ratio condition is then proved by
+    ``_ratio_within_rounding`` where its premises hold.  Every other input
+    takes the factorization and the pair table of the ratios.
+    """
     _require_symmetric_case(spec)
     spec.validate()
-    try:
-        _, d = factor(spec.subset, spec.f, a - b)
-    except FactorizationError:  # the set is not closed
-        raise HypothesisError(f"the {side}-side region requires a {side} closed set") from None
-    _check_ratio_condition(spec, b)
+    s, f = spec.subset, spec.f
+    chains = s.parent._chains
+    if chains is not None and s.indices == tuple(range(len(s.parent))) and _chain_multiplicative(chains, f):
+        d = convolution(f, a - b, s).values
+        if not _ratio_within_rounding(spec, len(chains), b):
+            _check_ratio_condition(spec, b)
+    else:
+        try:
+            _, d = factor(s, f, a - b)
+        except FactorizationError:  # the set is not closed
+            raise HypothesisError(f"the {side}-side region requires a {side} closed set") from None
+        _check_ratio_condition(spec, b)
     return _finish_region(spec, side, c_value, d, 2.0 * (b - spec.gamma))
 
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import bounds, constants, matrices, selftest
+from . import bounds, constants, matrices
 from ._kernels import SpectraError
 from .incidence import PosetFunction, load_function
 from .matrices import CombinedSpec, combined_matrix, format_matrix, matrices_close
@@ -289,6 +289,8 @@ def _cmd_table1(args) -> int:
 
 
 def _cmd_selftest(_args) -> int:
+    from . import selftest  # only this command needs it, and every other would compile it
+
     return 0 if selftest.run(sys.stdout) else 1
 
 

@@ -80,8 +80,10 @@ class CombinedSpec:
             raise ExistenceError(
                 "f vanishes on a member of S, which requires gamma = delta = 0"
             )
+        # a product of chains has every meet and join, where an f with no zero cannot vanish
+        nowhere_zero = s.parent._chains is not None and f.values.all()
         for exponent, name, bound in ((self.alpha, "alpha", "meet"), (self.beta, "beta", "join")):
-            if exponent >= 0.0:
+            if exponent >= 0.0 or nowhere_zero:
                 continue
             vanishing = f.values[s.pair_indices(bound)] == 0.0
             for a, b in np.argwhere(np.tril(vanishing))[:1]:
@@ -117,12 +119,7 @@ class CombinedSpec:
         s, f, p = self.subset, self.f, self.subset.parent
         chains = p._chains  # 1, q, ..., q^e for each generator q
         if (chains is None or len(s) != len(p) or self.gamma != self.delta or f.parent is not p
-                or (f.values <= 0.0).any()):
-            return None
-        terms = [(1, 1.0)]  # terms: (x, the product over the primes of f(p^v_p(x)))
-        for chain in chains:
-            terms = [(d * x, v * f(x)) for d, v in terms for x in chain]
-        if sorted(terms) != list(zip(p.elements, f.values.tolist())):
+                or not _chain_multiplicative(chains, f)):
             return None
         union = p.subset({1}.union(*chains))
         m = combined_matrix(replace(self, subset=union))
@@ -134,6 +131,21 @@ class CombinedSpec:
             raise SpectraError("a product of chain eigenvalues is not finite in float64")
         residual = max((part.offdiag_residual for part in parts), default=0.0)
         return Spectrum(np.sort(products, axis=None), max((part.iterations for part in parts), default=0), residual)
+
+
+def _chain_multiplicative(chains, f: PosetFunction) -> bool:
+    """Whether f > 0 and each f(x) is, exactly in float64, the product of f over
+    x's members of the chains (the poset's ``_chains``), multiplied in chain
+    order starting from 1.0."""
+    if (f.values <= 0.0).any():
+        return False
+    p = f.parent
+    labels, products = np.ones(1, dtype=np.int64), np.ones(1)  # x, and the product over the primes of f(p^v_p(x))
+    for chain in chains:
+        labels = np.multiply.outer(labels, np.array(chain, dtype=np.int64)).ravel()
+        products = np.multiply.outer(products, f.values[[p.index_of(x) for x in chain]]).ravel()
+    order = np.argsort(labels)
+    return labels[order].tolist() == list(p.elements) and np.array_equal(products[order], f.values)
 
 
 def combined_matrix(spec: CombinedSpec) -> np.ndarray:

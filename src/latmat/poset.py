@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -287,10 +288,11 @@ class Poset:
 
     def subset(self, labels) -> "ElementSubset":
         """Wrap labels as an ElementSubset of this poset, the members sorted
-        by their position in the poset, which always yields an admissible
-        enumeration (comparable members appear in order).
+        by their position in the poset.  That position is a linear extension,
+        so the enumeration is always admissible (comparable members appear
+        in order) and is not checked pair by pair.
         """
-        return ElementSubset(self, sorted(self.index_of(x) for x in labels))
+        return ElementSubset(self, sorted(self.index_of(x) for x in labels), validate=False)
 
     def dual(self) -> "Poset":
         """Order dual: elements reversed so the order stays a linear extension."""
@@ -324,6 +326,7 @@ class ElementSubset:
                 )
         self._member_set = frozenset(self.indices)
         self._pair_tables = {}
+        self._closures = {}
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -347,33 +350,46 @@ class ElementSubset:
             self._pair_tables[bound] = self.parent._pair_bounds(bound, self.indices)
         return self._pair_tables[bound]
 
+    def _is_whole_lattice(self) -> bool:
+        """S is every element of a product of chains, which is a lattice."""
+        return len(self) == len(self.parent) and self.parent._chains is not None
+
     def is_meet_closed(self) -> bool:
         """True iff the meet of every member pair is again a member."""
-        return bool(np.isin(self.pair_indices("meet"), self.indices).all())
+        return self._is_whole_lattice() or bool(np.isin(self.pair_indices("meet"), self.indices).all())
 
     def is_join_closed(self) -> bool:
-        return bool(np.isin(self.pair_indices("join"), self.indices).all())
+        return self._is_whole_lattice() or bool(np.isin(self.pair_indices("join"), self.indices).all())
 
     def order_ideal(self) -> "ElementSubset":
-        """Downward closure of S, ordered with the members of S first.
+        """Downward closure of S, ordered with the members of S first, cached.
 
         The remaining ideal elements follow in poset order.  Requires the
         parent to have a bottom element.
         """
         if not self.parent.has_bottom:
             raise LatticeError("order ideal requires a bottom element")
-        return self._closure(self.parent._block(np.arange(len(self.parent)), self.indices).any(axis=1))
+        return self._closure("ideal", lambda every: self.parent._block(every, self.indices).any(axis=1))
 
     def order_filter(self) -> "ElementSubset":
         """Upward closure of S, members first: the order ideal under leq.T."""
         if not self.parent.has_top:
             raise LatticeError("order filter requires a top element")
-        return self._closure(self.parent._block(self.indices, np.arange(len(self.parent))).any(axis=0))
+        return self._closure("filter", lambda every: self.parent._block(self.indices, every).any(axis=0))
 
-    def _closure(self, mask: np.ndarray) -> "ElementSubset":
-        """The members of S, then every other element of mask, in poset order."""
-        mask[list(self.indices)] = False
-        return ElementSubset(self.parent, list(self.indices) + np.flatnonzero(mask).tolist(), validate=False)
+    def _closure(self, name: str, reach) -> "ElementSubset":
+        """The members of S, then every other element of the mask reach(every
+        index), in poset order.  S itself when it holds every element; it is
+        not cached then, so that S does not refer to itself."""
+        if len(self) == len(self.parent):
+            return self
+        if name not in self._closures:
+            mask = reach(np.arange(len(self.parent)))
+            mask[list(self.indices)] = False
+            self._closures[name] = ElementSubset(
+                self.parent, list(self.indices) + np.flatnonzero(mask).tolist(), validate=False
+            )
+        return self._closures[name]
 
 
 @dataclass(frozen=True, repr=False)
@@ -459,12 +475,22 @@ def chain_poset(n: int) -> Poset:
 
 
 def divisors_of(m: int) -> list:
-    """All positive divisors of m, ascending."""
+    """All positive divisors of m, ascending: every product of one power
+    p^0..p^e of each prime power p^e of m.  The primes are found by trial
+    division of the shrinking cofactor up to its square root, so a prime m
+    still takes about sqrt(m)/2 steps."""
     if m < 1:
         raise PosetError("argument must be a positive integer")
-    small = [d for d in range(1, int(math.isqrt(m)) + 1) if m % d == 0]
-    large = [m // d for d in reversed(small) if d * d != m]
-    return small + large
+    divisors, rest, p = [1], operator.index(m), 2
+    while rest > 1:
+        width, power = len(divisors), 1
+        while rest % p == 0:
+            rest //= p
+            power *= p
+            divisors += [d * power for d in divisors[:width]]
+        # the least odd factor above p, or rest itself when none is below its root
+        p = next((q for q in range((p + 1) | 1, math.isqrt(rest) + 1, 2) if rest % q == 0), rest)
+    return sorted(divisors)
 
 
 def _products(chains) -> list:

@@ -235,6 +235,23 @@ def test_each_spec_is_solved_once(monkeypatch):
     assert latmat.combined_matrix(spec) is not latmat.combined_matrix(spec)
 
 
+def test_each_bound_builds_its_ideal_or_filter_once(monkeypatch):
+    closures = []
+    block = latmat.Poset._block
+
+    def spy(self, rows, cols):
+        if np.size(rows) * np.size(cols) == len(self) * 12:  # the reach of S = {1..12}
+            closures.append(1)
+        return block(self, rows, cols)
+
+    monkeypatch.setattr(latmat.Poset, "_block", spy)
+    spec = latmat.gcd_power_family(12, 1.0, 0.0)
+    lower_bound_meet(spec, ConstantValue(0.1, "user"))
+    assert len(closures) == 1
+    lower_bound_join(spec, ConstantValue(0.1, "user"))
+    assert len(closures) == 2
+
+
 def test_exact_c_never_solves_for_C_n(monkeypatch):
     def refuse(n):
         raise AssertionError("a lower bound does not need C_n")

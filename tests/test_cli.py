@@ -1,5 +1,7 @@
 import os
 import shlex
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -318,6 +320,15 @@ def test_selftest_command(capsys):
     assert run(["selftest"]) == 0
     out = capsys.readouterr().out
     assert "all checks passed" in out
+
+
+def test_importing_the_cli_leaves_the_selftest_unloaded():
+    # every CLI process would otherwise compile and run the selftest module
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    code = "import sys, latmat.cli; print('latmat.selftest' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_readme_library_quick_start_runs():

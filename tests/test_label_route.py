@@ -234,3 +234,94 @@ def test_exact_power_budget_reaches_the_matrix_and_the_convolutions():
     with pytest.raises(ValueError, match="use a smaller exponent"):
         incidence.down_convolution(spec.f, 100000.0, spec.subset)
     assert math.isfinite(latmat.combined_matrix(latmat.divisor_closed_family(12, 250.0, -250.0))[1, 2])
+
+
+def _refuse_tables(monkeypatch, n, union):
+    """Make every pair table or relation block of more than n entries raise,
+    but the pair tables of the chain union; and any incidence matrix E."""
+    pairs, block = latmat.ElementSubset.pair_indices, Poset._block
+
+    def pair_indices(self, bound):
+        if len(self) ** 2 > n and set(self.labels) != union:
+            raise AssertionError(f"a {len(self)} x {len(self)} {bound} table was formed")
+        return pairs(self, bound)
+
+    def refuse_block(self, rows, cols):
+        if np.size(rows) * np.size(cols) > n:
+            raise AssertionError(f"a {np.size(rows)} x {np.size(cols)} block was formed")
+        return block(self, rows, cols)
+
+    def refuse_incidence(s):
+        raise AssertionError("the incidence matrix was formed")
+
+    monkeypatch.setattr(latmat.ElementSubset, "pair_indices", pair_indices)
+    monkeypatch.setattr(Poset, "_block", refuse_block)
+    monkeypatch.setattr(latmat.matrices, "incidence_matrix", refuse_incidence)
+
+
+@pytest.mark.parametrize("alpha, beta", REGION_PAIRS)
+def test_whole_lattice_regions_form_no_table(alpha, beta, monkeypatch):
+    chains = latmat.divisor_poset(latmat.divisors_of(10080))._chains
+    _refuse_tables(monkeypatch, 72, {1}.union(*chains))
+    spec = bounds.divisor_closed_family(10080, alpha, beta)
+    c = bounds.resolve_C(len(spec.subset), "tn")
+    for region in (bounds.region_meet_closed, bounds.region_join_closed):
+        report = region(spec, c)
+        assert report.d_values.shape == (72,) and report.contained in (True, False)
+    assert "_leq" not in vars(spec.f.parent)
+
+
+@pytest.mark.parametrize("alpha, beta", [(1.0, 0.0), (-1.0, 1.0)])
+def test_whole_divisor_lattice_of_2304_elements_routes_agree(alpha, beta, twin):
+    spec = bounds.divisor_closed_family(9777287520, alpha, beta)
+    assert len(spec.subset) == 2304
+    assert_routes_agree(spec, twin, bounds.resolve_C(2304, "tn"))
+
+
+def _regions(spec, c_value=C_USER):
+    out = []
+    for region in (bounds.region_meet_closed, bounds.region_join_closed):
+        try:
+            out.append(vars(region(spec, c_value)))
+        except ValueError as exc:
+            out.append((type(exc).__name__, str(exc)))
+    return out
+
+
+def _zero_at_6(p):
+    return PosetFunction(p, [0.0 if x == 6 else float(x) for x in p.elements])
+
+
+def _plus_one(p):
+    return PosetFunction(p, [x + 1.0 for x in p.elements])
+
+
+@pytest.mark.parametrize(
+    "m, alpha, beta, make_f, labels, want",
+    [
+        # f(x) = x + 1 is positive but not multiplicative
+        (720, 0.5, -0.5, _plus_one, None, [None, "the region condition |f(meet)f(join)/(f(x_i)f(x_j))|^e <= 1 fails for the pair (3, 2)"]),
+        # an f with a zero
+        (720, 1.0, 0.0, _zero_at_6, None, [None, "zero base with a negative exponent"]),
+        (720, -1.0, 1.0, _zero_at_6, None, ["f vanishes at the meet of 6 and 6, which requires alpha >= 0"] * 2),
+        (720, 0.5, -0.5, _zero_at_6, None, ["f vanishes at the join of 3 and 2, which requires beta >= 0"] * 2),
+        # a proper subset S, meet closed but not join closed
+        (720, 1.0, 0.0, PosetFunction.identity, latmat.divisors_of(720)[:-1], [None, "the join-side region requires a join closed set"]),
+        # the meet side's beta past the rounding bound's premise, |beta| * 4k * 2**-53 <= 1e-12 / 8 for k = 3
+        (30, 1.0, 100.0, PosetFunction.identity, None, [None, None]),
+    ],
+    ids=["not-multiplicative", "zero-1-0", "zero-neg-alpha", "zero-neg-beta", "proper-subset", "beta-past-premise"],
+)
+def test_regions_off_the_whole_lattice_route_take_the_table(m, alpha, beta, make_f, labels, want, twin, monkeypatch):
+    # want: the table route's outcome on each side, error texts included
+    p = latmat.divisor_poset(latmat.divisors_of(m))
+    spec = CombinedSpec(alpha, beta, 0.0, 0.0, p.subset(labels or p.elements), make_f(p))
+    ratios, real = [], bounds.pair_ratios
+    monkeypatch.setattr(bounds, "pair_ratios", lambda s, f: ratios.append(len(s)) or real(s, f))
+    got = _regions(spec)
+    if m == 30:  # the table for the meet side only, whose exponent is beta
+        assert ratios == [8]
+        _regions(replace(spec, beta=90.0))  # within the premise
+        assert ratios == [8]
+    assert [g[1] if isinstance(g, tuple) else None for g in got] == want
+    assert_identical(got, _regions(twin(spec)))

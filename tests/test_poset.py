@@ -185,6 +185,13 @@ def test_order_ideal_fixed_point():
     assert s.order_ideal().labels == s.labels
 
 
+def test_order_ideal_and_filter_are_built_once(divisors12):
+    s = divisors12.subset([4, 6])
+    assert s.order_ideal() is s.order_ideal() and s.order_filter() is s.order_filter()
+    whole = divisors12.subset(divisors12.elements)
+    assert whole.order_ideal() is whole and whole.order_filter() is whole
+
+
 def test_order_ideal_requires_bottom():
     p = latmat.divisor_poset([2, 3, 6])
     with pytest.raises(LatticeError, match="bottom"):
@@ -251,8 +258,11 @@ def test_cached_tables_keep_no_reference_cycle():
         p = latmat.divisor_lattice(range(1, 9))
         p.mobius()
         assert p.is_lattice()
+        subsets = [p.subset([2, 3]), p.subset(p.elements)]
+        for s in subsets:
+            s.order_ideal(), s.order_filter(), s.pair_indices("meet")
         r = weakref.ref(p)
-        del p
+        del p, s, subsets
         assert r() is None
     finally:
         gc.enable()
@@ -399,6 +409,15 @@ def test_poset_format_roundtrip(diamond):
     again = latmat.parse_poset(text)
     assert again.elements == diamond.elements
     assert np.array_equal(again.leq_matrix, diamond.leq_matrix)
+
+
+def test_divisors_of_matches_brute_force():
+    for m in range(1, 3001):
+        assert latmat.divisors_of(m) == [d for d in range(1, m + 1) if m % d == 0], m
+    m = 2**4 * 3**3 * 5**2 * 7 * 11 * 13 * 17 * 19 * 23 * 29  # 7680 divisors, read off its primes
+    got = latmat.divisors_of(m)
+    assert m == 2329089562800 and len(got) == 7680 and got == sorted(got)
+    assert all(m % d == 0 for d in got) and got[-1] == m
 
 
 def test_parse_divisors_shorthand():
