@@ -34,12 +34,11 @@ from .incidence import (
 from .matrices import (
     CombinedSpec,
     FactorizationError,
-    _chain_multiplicative,
     factor_join_closed,
     factor_meet_closed,
     pair_ratios,
 )
-from .poset import ElementSubset, LatticeError, PosetError, _products, divisor_poset, divisors_of
+from .poset import ElementSubset, LatticeError, PosetError, divisor_poset, divisors_of
 
 REPORT_TOL = 1e-9
 CONDITION_TOL = 1e-12
@@ -170,15 +169,11 @@ def _require_nonzero_semimultiplicative(spec: CombinedSpec, domain, closure: str
             f"the lower bound requires an f that is nowhere-zero on S and its "
             f"{closure}; f vanishes at {domain.labels[k]!r}"
         )
-    if not is_semimultiplicative(f, spec.subset):
+    if not _ratio_within_rounding(f, 0.0) and not is_semimultiplicative(f, spec.subset):
         raise HypothesisError(
             "the lower bound requires a semimultiplicative f "
             "(f(x)f(y) = f(meet)f(join) for all pairs of S)"
         )
-
-
-def _holds(bound: float, true_kappa: float) -> bool:
-    return bound <= true_kappa + REPORT_TOL * max(1.0, abs(true_kappa))
 
 
 def lower_bound_meet(spec: CombinedSpec, c_value: ConstantValue) -> BoundReport:
@@ -229,9 +224,8 @@ def _lower_bound(spec: CombinedSpec, c_value, side, convolution, a, b) -> BoundR
     min_fpow = min(real_power(spec.f.value_at(i) ** 2, b - spec.gamma) for i in s.indices)
     bound = c_value.value * min_conv * min_fpow
     true_kappa = float(np.abs(spec.spectrum.eigenvalues).min())
-    return BoundReport(
-        side, bound, c_value, min_conv, min_fpow, true_kappa, _holds(bound, true_kappa)
-    )
+    holds = bound <= true_kappa + REPORT_TOL * max(1.0, abs(true_kappa))
+    return BoundReport(side, bound, c_value, min_conv, min_fpow, true_kappa, holds)
 
 
 def _check_ratio_condition(spec: CombinedSpec, exponent: float) -> None:
@@ -253,14 +247,14 @@ def _check_ratio_condition(spec: CombinedSpec, exponent: float) -> None:
         )
 
 
-def _ratio_within_rounding(spec: CombinedSpec, k: int, exponent: float) -> bool:
-    """Whether the rounding bound below proves the ratio condition for every
-    pair, on S the whole product of k chains with f passing
-    ``matrices._chain_multiplicative``, so that no pair table is needed.
-
-    Premises, checked here in O(N): f(1) = 1; every f value lies in
-    [2**-511, 2**512), so every product of two lies in float64's normal
-    range; and |exponent| * 4k * u <= CONDITION_TOL / 8, u = 2**-53.
+def _ratio_within_rounding(f: PosetFunction, exponent: float) -> bool:
+    """Whether f passes ``PosetFunction._chain_multiplicative`` and the bound
+    below proves, with no pair table, for every pair of the lattice and so of
+    any S inside it, the region's ratio condition at this exponent and f's
+    semimultiplicativity to SEMIMULT_TOL.  Premises, checked here in O(N),
+    for k generators: f(1) = 1; every f value lies in [2**-511, 2**512), so
+    every product of two is normal; and |exponent| * 4k * u <= CONDITION_TOL
+    / 8, u = 2**-53, which exponent 0 meets.
 
     Proof.  f(x) is the float product r_k of f at x's chain members x_j,
     r_0 = 1.0, r_j = fl(r_(j-1) f(x_j)).  As f(1) = 1, r_j is f at the label
@@ -279,11 +273,15 @@ def _ratio_within_rounding(spec: CombinedSpec, k: int, exponent: float) -> bool:
     CONDITION_TOL.  real_power returns C pow()'s value; even 1000 ulp of error
     near 1 (2.3e-13) leaves it below the float 1 + CONDITION_TOL that the
     table compares with, and f > 0 leaves no ratio undefined, so no pair of
-    the table would fail.
+    the table would fail.  is_semimultiplicative compares lhs = fl(f(x) f(y))
+    with rhs = fl(f(meet) f(join)), each P(x) P(y) times 2k-1 factors (1 + d),
+    so their difference, exact by Sterbenz, is at most 2g'|lhs| / (1 - g') <
+    61u |lhs| for g' = (2k-1)u / (1 - (2k-1)u): far below SEMIMULT_TOL |lhs|.
     """
-    fs = spec.f.values
+    fs = f.values
     return (
-        abs(exponent) * 4 * k * 2.0**-53 <= CONDITION_TOL / 8
+        f._chain_multiplicative
+        and abs(exponent) * 4 * len(f.parent._chains.q) * 2.0**-53 <= CONDITION_TOL / 8
         and fs[0] == 1.0
         and 2.0**-511 <= fs.min()
         and fs.max() < 2.0**512
@@ -331,27 +329,25 @@ def _region(spec: CombinedSpec, c_value, side, factor, convolution, a, b) -> Reg
     passes its dual.
 
     When S is every element of a product of chains (``Poset._chains``), in
-    poset order, and f passes ``matrices._chain_multiplicative``, the
-    structure settles the hypotheses: a product of chains is a lattice, so S
-    is meet and join closed, and every element is its own first member, so
-    the d of the diagonal factorization is the convolution itself, with no
-    incidence matrix E.  The ratio condition is then proved by
-    ``_ratio_within_rounding`` where its premises hold.  Every other input
-    takes the factorization and the pair table of the ratios.
+    poset order, and f passes ``PosetFunction._chain_multiplicative``, S is
+    meet and join closed, as a product of chains is a lattice, and every
+    element is its own first member, so the d of the diagonal factorization
+    is the convolution itself, with no incidence matrix E; every other S
+    takes the factorization.  The ratio condition is proved by
+    ``_ratio_within_rounding`` where its premises hold, and read off the
+    pair table of the ratios otherwise.
     """
     _require_symmetric_case(spec)
     spec.validate()
     s, f = spec.subset, spec.f
-    chains = s.parent._chains
-    if chains is not None and s.indices == tuple(range(len(s.parent))) and _chain_multiplicative(chains, f):
+    if f._chain_multiplicative and s.indices == tuple(range(len(s.parent))):
         d = convolution(f, a - b, s).values
-        if not _ratio_within_rounding(spec, len(chains), b):
-            _check_ratio_condition(spec, b)
     else:
         try:
             _, d = factor(s, f, a - b)
         except FactorizationError:  # the set is not closed
             raise HypothesisError(f"the {side}-side region requires a {side} closed set") from None
+    if not _ratio_within_rounding(f, b):
         _check_ratio_condition(spec, b)
     return _finish_region(spec, side, c_value, d, 2.0 * (b - spec.gamma))
 
@@ -374,20 +370,14 @@ def gcd_power_family(n: int, alpha: float, beta: float) -> CombinedSpec:
 
     S = {1..n} inside the divisor lattice generated by it (so all pairwise
     lcm values exist), f the identity, gamma = delta = 0.  That lattice is
-    the divisors of lcm(1..n), every product of one power p^0..p^k <= n of
-    each prime p <= n.
+    the divisors of lcm(1..n).
     """
     if n < 1:
         raise PosetError("closure needs positive integers")
-    if math.lcm(*range(1, n + 1)) >= 2**63:
+    top = math.lcm(*range(1, n + 1))
+    if top >= 2**63:
         raise PosetError("the lcm of the closure's inputs must be below 2**63")
-    chains = []
-    for q in range(2, n + 1):
-        if all(q % c[1] for c in chains):  # no smaller prime divides q
-            chains.append([1])
-            while chains[-1][-1] * q <= n:
-                chains[-1].append(chains[-1][-1] * q)
-    lattice = divisor_poset(_products(chains))
+    lattice = divisor_poset(divisors_of(top))
     s = lattice.subset(range(1, n + 1))
     f = PosetFunction.identity(lattice)
     return CombinedSpec(float(alpha), float(beta), 0.0, 0.0, s, f)

@@ -1,6 +1,6 @@
 """Real-valued functions on poset elements and their Mobius convolutions,
 computed without Mobius values: by forward substitution on the zeta
-relation, or, on a product of chains, by one difference per chain.
+relation, or, on a product of chains, by one difference per generator.
 
 Power evaluation follows the 0**0 = 1 convention throughout; zero base with
 a negative exponent and negative base with a non-integer exponent are domain
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -107,6 +108,17 @@ class PosetFunction:
     @property
     def is_integer_valued(self) -> bool:
         return bool(np.all(self.values == np.rint(self.values)))
+
+    @cached_property
+    def _chain_multiplicative(self) -> bool:
+        """Whether the poset is a product of chains (``Poset._chains``), f > 0, and
+        each f(x) is, exactly in float64, the product of f at x's chain members in
+        chain order, from 1.0.  Every whole-lattice route reads this one answer."""
+        chains = self.parent._chains
+        if chains is None or (self.values <= 0.0).any():
+            return False
+        products = reduce(np.multiply.outer, [self.values[m] for m in chains.members()], np.ones(()))
+        return np.array_equal(products.ravel(), self.values[chains.index])  # both in code order
 
 
 def parse_function(parent: Poset, text: str) -> PosetFunction:
@@ -211,14 +223,16 @@ def _convolution(direction: str, f: PosetFunction, alpha: float, domain) -> Conv
         num, den = np.array([v.as_integer_ratio() for v in powers], dtype=object).reshape(-1, 2).T
     common = math.lcm(*np.ravel(den).tolist())
     g = num * (common // den)
-    if p._chains is not None:
-        # mu(x, y) = mu(y/x): one difference per chain, g(x) -= g(x/q) on the ideal;
-        # the filter is an ideal in the keys top/x, where g(x) -= g(x*q)
-        keys = p._values[idx] if direction == "down" else p._values[-1] // p._values[idx]
-        order = np.argsort(keys)
-        for q in (chain[1] for chain in p._chains):
-            has = np.flatnonzero(keys % q == 0)
-            g[has] -= g[order[np.searchsorted(keys, keys[has] // q, sorter=order)]]
+    chains = p._chains
+    if chains is not None:
+        # mu(x, y) = mu(y/x): one difference per generator q, g(x) -= g(x/q) on the ideal and
+        # g(x) -= g(x*q) on the filter, where x/q (x*q) has x's code minus (plus) q's stride
+        exponents, position = chains.exponents[idx], np.empty(len(p), dtype=np.intp)
+        position[idx] = np.arange(idx.size)  # of each domain element in the domain
+        code = exponents @ chains.strides
+        for j, step in enumerate((-1 if direction == "down" else 1) * chains.strides):
+            has = np.flatnonzero(exponents[:, j] > 0 if direction == "down" else exponents[:, j] < chains.e[j])
+            g[has] -= g[position[chains.index[code[has] + step]]]
     else:  # forward substitution along a linear extension of the domain
         leq = p._leq.T if direction == "down" else p._leq
         where = np.argsort(idx)[:: -1 if direction == "up" else 1]  # domain positions, extension order

@@ -49,10 +49,6 @@ def matrices_close(a, b, rel: float = MATRIX_EQ_TOL) -> bool:
     return float(np.abs(a - b).max()) <= rel * scale
 
 
-def _all_integral(*exponents) -> bool:
-    return all(float(e) == int(e) for e in exponents)
-
-
 @dataclass(frozen=True)
 class CombinedSpec:
     """Exponent quadruple (alpha, beta, gamma, delta) with the set S and f.
@@ -80,10 +76,8 @@ class CombinedSpec:
             raise ExistenceError(
                 "f vanishes on a member of S, which requires gamma = delta = 0"
             )
-        # a product of chains has every meet and join, where an f with no zero cannot vanish
-        nowhere_zero = s.parent._chains is not None and f.values.all()
         for exponent, name, bound in ((self.alpha, "alpha", "meet"), (self.beta, "beta", "join")):
-            if exponent >= 0.0 or nowhere_zero:
+            if exponent >= 0.0 or f._chain_multiplicative:  # f > 0 on a lattice: no meet or join vanishes
                 continue
             vanishing = f.values[s.pair_indices(bound)] == 0.0
             for a, b in np.argwhere(np.tril(vanishing))[:1]:
@@ -100,12 +94,12 @@ class CombinedSpec:
     def spectrum(self) -> Spectrum:
         """Spectrum of the combined matrix, solved once per spec (all its
         inputs are immutable); the eigenvalue array is read-only, since every
-        caller shares it.  On all divisors of m = prod p^e in a
-        ``divisor_poset``, with gamma = delta, f > 0, f(1) = 1 and f(x) ==
-        prod f(p^v_p(x)) exactly, each entry is a product over the primes, as
-        gcd and lcm take the min and max of each exponent: the matrix is, up
-        to a permutation, the Kronecker product of one (e+1) x (e+1) chain
-        matrix per prime, so its eigenvalues are all products of the chains'.
+        caller shares it.  When S is every element of a product of chains,
+        gamma = delta and f passes ``PosetFunction._chain_multiplicative``,
+        each entry is a product over the generators, as the meet and join
+        take the min and max of each exponent: the matrix is, up to a
+        permutation, the Kronecker product of one (e+1) x (e+1) chain matrix
+        per generator, so its eigenvalues are all products of the chains'.
         Only the chains are solved there, and `iterations` and
         `offdiag_residual` are their largest."""
         spectrum = self._chain_product() or eigen_symmetric(combined_matrix(self))
@@ -117,35 +111,18 @@ class CombinedSpec:
         Each chain matrix is a principal block of the combined matrix on the union of
         the chains, a subset of the poset, since each chain is meet and join closed."""
         s, f, p = self.subset, self.f, self.subset.parent
-        chains = p._chains  # 1, q, ..., q^e for each generator q
-        if (chains is None or len(s) != len(p) or self.gamma != self.delta or f.parent is not p
-                or not _chain_multiplicative(chains, f)):
+        if len(s) != len(p) or self.gamma != self.delta or f.parent is not p or not f._chain_multiplicative:
             return None
-        union = p.subset({1}.union(*chains))
-        m = combined_matrix(replace(self, subset=union))
-        at = {x: k for k, x in enumerate(union.labels)}
-        parts = [eigen_symmetric(m[np.ix_(block, block)]) for block in ([at[x] for x in c] for c in chains)]
+        chains = p._chains.members()  # the poset indices of 1, q, ..., q^e for each generator q
+        union = np.unique(np.concatenate([[0], *chains]))  # with k = 0, the bottom alone
+        m = combined_matrix(replace(self, subset=ElementSubset(p, union, validate=False)))
+        parts = [eigen_symmetric(m[np.ix_(block, block)]) for block in (np.searchsorted(union, c) for c in chains)]
         with np.errstate(over="ignore", invalid="ignore"):
             products = reduce(np.multiply.outer, [part.eigenvalues for part in parts], np.ones(()))
         if not np.isfinite(products).all():
             raise SpectraError("a product of chain eigenvalues is not finite in float64")
         residual = max((part.offdiag_residual for part in parts), default=0.0)
         return Spectrum(np.sort(products, axis=None), max((part.iterations for part in parts), default=0), residual)
-
-
-def _chain_multiplicative(chains, f: PosetFunction) -> bool:
-    """Whether f > 0 and each f(x) is, exactly in float64, the product of f over
-    x's members of the chains (the poset's ``_chains``), multiplied in chain
-    order starting from 1.0."""
-    if (f.values <= 0.0).any():
-        return False
-    p = f.parent
-    labels, products = np.ones(1, dtype=np.int64), np.ones(1)  # x, and the product over the primes of f(p^v_p(x))
-    for chain in chains:
-        labels = np.multiply.outer(labels, np.array(chain, dtype=np.int64)).ravel()
-        products = np.multiply.outer(products, f.values[[p.index_of(x) for x in chain]]).ravel()
-    order = np.argsort(labels)
-    return labels[order].tolist() == list(p.elements) and np.array_equal(products[order], f.values)
 
 
 def combined_matrix(spec: CombinedSpec) -> np.ndarray:
@@ -158,7 +135,7 @@ def combined_matrix(spec: CombinedSpec) -> np.ndarray:
     spec.validate()
     s, f = spec.subset, spec.f
     n = len(s)
-    exact = f.is_integer_valued and _all_integral(spec.alpha, spec.beta, spec.gamma, spec.delta)
+    exact = f.is_integer_valued and all(float(e) == int(e) for e in (spec.alpha, spec.beta, spec.gamma, spec.delta))
     members = f.values[list(s.indices)]
     # (values, exponent, whether values**exponent multiplies the entry or divides it)
     factors = (

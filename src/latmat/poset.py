@@ -11,8 +11,8 @@ A poset built by ``divisor_poset`` is ordered by divisibility of its
 labels, and reads every block of the relation off them; its dense N x N
 relation is formed only when a caller asks for it.  When the labels are
 exactly the products of the powers q^0..q^e of pairwise coprime q, the
-order is a product of chains: the meet and join of a pair are the gcd and
-lcm of its labels (``Poset._chains``).
+order is a product of chains (``Poset._chains``): the meet and join of a
+pair take the min and max of each exponent of its labels over the q.
 
 Otherwise meets and joins are found only for the pairs asked, by one
 bit-set routine over the pairs of a member set S in O(|S|^2 * N/8) bytes.
@@ -29,7 +29,7 @@ import heapq
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -86,6 +86,24 @@ def _pair_meets(down: np.ndarray, idx) -> tuple:
     return meet, status
 
 
+@dataclass(frozen=True, eq=False)
+class Chains:
+    """A product of chains 1 < q < ... < q^e, one per generator q.  Element i
+    is the label prod q[j] ** exponents[i, j]; its mixed-radix code, the sum
+    of exponents[i, j] * strides[j], numbers the chains' products in the
+    order np.multiply.outer lists them, and index[code] is i."""
+
+    q: tuple  # the generators, ascending
+    e: tuple  # their caps
+    strides: np.ndarray  # intp, one per generator, the first the most significant
+    exponents: np.ndarray  # N x k int8
+    index: np.ndarray  # intp, from code to poset index
+
+    def members(self) -> list:
+        """The poset indices of each chain 1, q, ..., q^e."""
+        return [self.index[stride * np.arange(cap + 1)] for stride, cap in zip(self.strides.tolist(), self.e)]
+
+
 class Poset:
     """A finite partially ordered set: a dense order relation, or divisor labels."""
 
@@ -132,13 +150,12 @@ class Poset:
         return self._leq[np.ix_(rows, cols)]
 
     @cached_property
-    def _chains(self):
-        """The chains [1, q, ..., q^e] of pairwise coprime q > 1 whose products,
-        one member of each chain, are exactly the labels of this divisor poset;
-        None if there are none.  The order is then their product: the meet
-        and join of x and y are gcd(x, y) and lcm(x, y), and mu(x, y) is the
-        product over the q of the chain's mu, so mu(x, y) = mu(y/x) on
-        the exponents (Rota 1964)."""
+    def _chains(self) -> Chains | None:
+        """This divisor poset as a product of chains, or None: the pairwise
+        coprime q > 1 whose powers q^0..q^e multiply, one of each, to exactly
+        its labels.  The meet and join, gcd and lcm, then take the min and max
+        of each exponent, and mu(x, y), the product over the q of the chain's
+        mu, is mu(y/x) on the exponents (Rota 1964)."""
         if not self._divisor_order or self._labels[0] != 1:
             return None
         chains, rest = [], self._labels[-1]  # 1, q, ..., q^e for each q, while they are labels
@@ -150,7 +167,15 @@ class Poset:
                 while rest % x == 0 and chains[-1][-1] * x in self._index:
                     rest //= x
                     chains[-1].append(chains[-1][-1] * x)
-        return chains if _products(chains) == list(self._labels) else None
+        powers = [np.array(c, dtype=np.int64) for c in chains]  # each product divides the top: no overflow
+        products = reduce(np.multiply.outer, powers, np.ones((), np.int64)).ravel()  # in code order
+        code = np.argsort(products)  # of each label, in poset order
+        if not np.array_equal(products[code], self._values):
+            return None
+        radix = [len(c) for c in chains]
+        strides = np.array([math.prod(radix[j + 1 :]) for j in range(len(radix))], dtype=np.intp)
+        exponents = np.indices(radix, dtype=np.int8).reshape(len(radix), code.size)[:, code].T  # in poset order
+        return Chains(tuple(c[1] for c in chains), tuple(r - 1 for r in radix), strides, exponents, np.argsort(code))
 
     # -- basic queries ----------------------------------------------------
 
@@ -227,11 +252,15 @@ class Poset:
     def _pairs(self, bound: str, idx):
         """Index and status of the meet (bound "meet") or the join ("join") of
         every pair of members idx: joins are the meets of the order dual.  On a
-        product of chains they are the gcd and lcm of the labels."""
-        if self._chains is not None:
-            v = self._values[np.asarray(idx, dtype=np.intp)]
-            table = np.searchsorted(self._values, (np.gcd if bound == "meet" else np.lcm).outer(v, v))
-            return table, np.full(table.shape, _OK, dtype=np.int8)
+        product of chains a meet's (join's) code sums the min (max) of each exponent times its stride."""
+        chains = self._chains
+        if chains is not None:
+            scaled = chains.exponents[np.asarray(idx, dtype=np.intp)] * chains.strides
+            pick = np.minimum if bound == "meet" else np.maximum
+            code = np.zeros((len(scaled), len(scaled)), dtype=np.intp)
+            for column in scaled.T:
+                code += pick.outer(column, column)
+            return chains.index[code], np.full(code.shape, _OK, dtype=np.int8)
         if bound == "meet":
             return _pair_meets(self._down_rows[0], idx)
         n = len(self) - 1
@@ -350,16 +379,12 @@ class ElementSubset:
             self._pair_tables[bound] = self.parent._pair_bounds(bound, self.indices)
         return self._pair_tables[bound]
 
-    def _is_whole_lattice(self) -> bool:
-        """S is every element of a product of chains, which is a lattice."""
-        return len(self) == len(self.parent) and self.parent._chains is not None
-
     def is_meet_closed(self) -> bool:
         """True iff the meet of every member pair is again a member."""
-        return self._is_whole_lattice() or bool(np.isin(self.pair_indices("meet"), self.indices).all())
+        return bool(np.isin(self.pair_indices("meet"), self.indices).all())
 
     def is_join_closed(self) -> bool:
-        return self._is_whole_lattice() or bool(np.isin(self.pair_indices("join"), self.indices).all())
+        return bool(np.isin(self.pair_indices("join"), self.indices).all())
 
     def order_ideal(self) -> "ElementSubset":
         """Downward closure of S, ordered with the members of S first, cached.
@@ -491,15 +516,6 @@ def divisors_of(m: int) -> list:
         # the least odd factor above p, or rest itself when none is below its root
         p = next((q for q in range((p + 1) | 1, math.isqrt(rest) + 1, 2) if rest % q == 0), rest)
     return sorted(divisors)
-
-
-def _products(chains) -> list:
-    """Every product of one member of each chain, ascending; the products
-    must stay below 2**63."""
-    out = np.ones(1, dtype=np.int64)
-    for chain in chains:
-        out = np.multiply.outer(out, np.array(chain, dtype=np.int64)).ravel()
-    return np.sort(out).tolist()
 
 
 def gcd_lcm_closure(integers) -> list:

@@ -6,6 +6,7 @@ packed down-sets, convolutions by forward substitution, ideals, filters and
 blocks from the dense relation.  Both routes must agree bit for bit.
 """
 
+import functools
 import math
 import sys
 from dataclasses import replace
@@ -28,22 +29,30 @@ C_USER = bounds.ConstantValue(0.5, "user")
 def twin(monkeypatch):
     """twin(spec): the spec on a relation-backed copy of its poset.  Only
     CombinedSpec._chain_product still sees the original's chains on the copy,
-    so a whole divisor lattice is solved by the same product route on both."""
-    chains = {}
-    real = Poset._chains.func
+    and the copied f as chain multiplicative, so a whole divisor lattice is
+    solved by the same product route on both; every other step on the copy
+    takes the relation route."""
+    originals = {}  # copy -> original, for the poset and for f
 
-    def patched(p):
-        if p not in chains:
-            return real(p)
-        return chains[p] if sys._getframe(1).f_code is CombinedSpec._chain_product.__code__ else None
+    def only_in_the_product_route(cls, name, elsewhere):
+        real = vars(cls)[name].func
 
-    monkeypatch.setattr(Poset, "_chains", property(patched))
+        def patched(x):
+            if x not in originals:
+                return real(x)
+            return real(originals[x]) if sys._getframe(1).f_code is CombinedSpec._chain_product.__code__ else elsewhere
+
+        monkeypatch.setattr(cls, name, property(patched))
+
+    only_in_the_product_route(Poset, "_chains", None)
+    only_in_the_product_route(PosetFunction, "_chain_multiplicative", False)
 
     def make(spec):
         p = spec.f.parent
         q = Poset(p.elements, p.leq_matrix, _validate=False)
-        chains[q] = real(p)
-        return replace(spec, subset=q.subset(spec.subset.labels), f=PosetFunction(q, spec.f.values))
+        f = PosetFunction(q, spec.f.values)
+        originals[q], originals[f] = p, spec.f
+        return replace(spec, subset=q.subset(spec.subset.labels), f=f)
 
     return make
 
@@ -103,19 +112,33 @@ def test_whole_divisor_lattice_routes_agree(m, alpha, beta, twin):
     assert_routes_agree(spec, twin, bounds.resolve_C(len(spec.subset), "tn"))
 
 
+def chain_labels(p):
+    """The labels 1, q, ..., q^e of each chain of p."""
+    return [[p.label_of(i) for i in members] for members in p._chains.members()]
+
+
 @pytest.mark.parametrize(
-    "text, chains",
+    "text, generators, caps",
     [
-        ("divisors: 1 2 4 6 12", None),  # mu(1, 6) = 0, where the integer mu(6) = 1
-        ("elements: 1 2 3 4 6 12\ncovers:\n1 2\n1 3\n2 4\n2 6\n3 6\n4 12\n6 12\n", None),
-        ("divisors: 1 4 16", [[1, 4, 16]]),
-        ("divisors: 1 2 3 4 6 12", [[1, 2, 4], [1, 3]]),
+        ("divisors: 1 2 4 6 12", None, None),  # mu(1, 6) = 0, where the integer mu(6) = 1
+        ("elements: 1 2 3 4 6 12\ncovers:\n1 2\n1 3\n2 4\n2 6\n3 6\n4 12\n6 12\n", None, None),
+        ("divisors: 1 4 16", (4,), (2,)),
+        ("divisors: 1 2 3 4 6 12", (2, 3), (2, 1)),
+        ("divisors: 1", (), ()),
     ],
-    ids=["not-a-product", "covers-copy", "generator-4", "divisors-of-12"],
+    ids=["not-a-product", "covers-copy", "generator-4", "divisors-of-12", "one"],
 )
-def test_which_posets_take_the_label_route(text, chains):
+def test_which_posets_take_the_label_route(text, generators, caps):
     p = latmat.parse_poset(text)
-    assert p._chains == chains
+    if generators is None:
+        assert p._chains is None
+    else:
+        chains = p._chains
+        assert (chains.q, chains.e) == (generators, caps)
+        assert chains.exponents.shape == (len(p), len(generators))
+        for i, x in enumerate(p.elements):  # x is the product of its generators' powers, at its code
+            assert x == math.prod(q**k for q, k in zip(generators, chains.exponents[i].tolist()))
+            assert chains.index[chains.exponents[i] @ chains.strides] == i
     s, f = p.subset(p.elements), PosetFunction.identity(p)
     for direction, conv in (("down", incidence.down_convolution), ("up", incidence.up_convolution)):
         got = conv(f, 1.0, s)
@@ -123,6 +146,21 @@ def test_which_posets_take_the_label_route(text, chains):
         assert got.values.tolist() == pytest.approx(want, rel=1e-12)
     if text.endswith("1 2 4 6 12"):
         assert incidence.down_convolution(f, 1.0, s).entry(6) == 6 - 2  # not 6 - 2 - 3 + 1
+
+
+@pytest.mark.parametrize("labels", [latmat.divisors_of(1), latmat.divisors_of(12), latmat.divisors_of(720), [1, 4, 16]])
+def test_chain_pair_tables_are_gcd_and_lcm(labels):
+    p = latmat.divisor_poset(labels)
+    assert p._chains is not None
+    for subset in (labels, labels[::2], labels[::-1]):
+        s = latmat.ElementSubset(p, [p.index_of(x) for x in subset], validate=False)
+        meets, joins = s.pair_indices("meet"), s.pair_indices("join")
+        assert meets.dtype == joins.dtype == np.intp
+        for a, x in enumerate(subset):
+            for b, y in enumerate(subset):
+                assert p.label_of(meets[a, b]) == math.gcd(x, y)
+                assert p.label_of(joins[a, b]) == math.lcm(x, y)
+    assert "_leq" not in vars(p)
 
 
 def test_covers_copy_of_divisors_of_12_matches_the_label_route():
@@ -178,7 +216,7 @@ def test_union_blocks_are_the_per_chain_matrices(m, alpha, beta, monkeypatch):
     monkeypatch.setattr(latmat.matrices, "eigen_symmetric", lambda a: solved.append(a) or solve(a))
     spec.spectrum
     f, want = spec.f, []
-    for chain in spec.f.parent._chains:  # each chain as a poset of its own, as the product route once did
+    for chain in chain_labels(spec.f.parent):  # each chain as a poset of its own, as the product route once did
         q = latmat.divisor_poset(chain)
         want.append(latmat.combined_matrix(replace(spec, subset=q.subset(chain), f=PosetFunction(q, [f(x) for x in chain]))))
     assert len(solved) == len(want)
@@ -261,14 +299,41 @@ def _refuse_tables(monkeypatch, n, union):
 
 @pytest.mark.parametrize("alpha, beta", REGION_PAIRS)
 def test_whole_lattice_regions_form_no_table(alpha, beta, monkeypatch):
-    chains = latmat.divisor_poset(latmat.divisors_of(10080))._chains
-    _refuse_tables(monkeypatch, 72, {1}.union(*chains))
+    _refuse_tables(monkeypatch, 72, {1}.union(*chain_labels(latmat.divisor_poset(latmat.divisors_of(10080)))))
     spec = bounds.divisor_closed_family(10080, alpha, beta)
     c = bounds.resolve_C(len(spec.subset), "tn")
     for region in (bounds.region_meet_closed, bounds.region_join_closed):
         report = region(spec, c)
         assert report.d_values.shape == (72,) and report.contained in (True, False)
     assert "_leq" not in vars(spec.f.parent)
+
+
+@pytest.mark.parametrize("alpha, beta", BOUND_PAIRS)
+def test_whole_lattice_lower_bounds_form_no_table(alpha, beta, monkeypatch):
+    # no semimultiplicativity table: the rounding bound proves it for a chain multiplicative f
+    _refuse_tables(monkeypatch, 2304, {1}.union(*chain_labels(latmat.divisor_poset(latmat.divisors_of(9777287520)))))
+    spec = bounds.divisor_closed_family(9777287520, alpha, beta)
+    c = bounds.resolve_c(2304, "thm52")
+    for lower_bound in (bounds.lower_bound_meet, bounds.lower_bound_join):
+        report = lower_bound(spec, c)
+        assert report.holds and report.true_kappa > 0.0
+    assert "_leq" not in vars(spec.f.parent)
+
+
+def test_chain_multiplicativity_is_decided_once_per_function(monkeypatch):
+    calls, real = [], vars(PosetFunction)["_chain_multiplicative"].func
+    counted = functools.cached_property(lambda f: calls.append(f) or real(f))
+    counted.__set_name__(PosetFunction, "_chain_multiplicative")
+    monkeypatch.setattr(PosetFunction, "_chain_multiplicative", counted)
+    for alpha, beta in BOUND_PAIRS + REGION_PAIRS:
+        spec = bounds.divisor_closed_family(10080, alpha, beta)
+        spec.spectrum
+        for region in (bounds.region_meet_closed, bounds.region_join_closed):
+            region(spec, bounds.resolve_C(72, "tn"))
+        for lower_bound in (bounds.lower_bound_meet, bounds.lower_bound_join):
+            _outcome(lambda: lower_bound(spec, bounds.resolve_c(72, "thm52")))
+        assert calls == [spec.f]
+        calls.clear()
 
 
 @pytest.mark.parametrize("alpha, beta", [(1.0, 0.0), (-1.0, 1.0)])
