@@ -31,13 +31,7 @@ from .incidence import (
     real_power,
     up_convolution,
 )
-from .matrices import (
-    CombinedSpec,
-    FactorizationError,
-    factor_join_closed,
-    factor_meet_closed,
-    pair_ratios,
-)
+from .matrices import CombinedSpec, FactorizationError, closed_d, pair_ratios
 from .poset import ElementSubset, LatticeError, PosetError, divisor_poset, divisors_of
 
 REPORT_TOL = 1e-9
@@ -297,12 +291,12 @@ def _finish_region(spec: CombinedSpec, side, c_value, d, fpow_exponent) -> Regio
     radii = h - (centers if (fs >= 0.0).all() else powers_by_value(np.abs(fs), lambda v: real_power(v, diag_exp)))
     eigs = spec.spectrum.eigenvalues
     slack = REPORT_TOL * np.maximum(1.0, np.abs(eigs))
-    step = max(1, (1 << 15) // max(1, len(centers)))  # rows of eigenvalues: 256 KB temporaries
+    # Each radius is H - |center|, so the widest disc holds what any disc whose center has its
+    # sign holds: only the eigenvalues outside it (for f >= 0, near its rim) meet every disc.
+    widest = int(radii.argmax())
+    outside = ~(np.abs(eigs - centers[widest]) - radii[widest] <= slack)  # and every NaN
     contained = all(
-        (np.abs(eigs[k : k + step, None] - centers[None, :]) - radii[None, :] <= slack[k : k + step, None])
-        .any(axis=1)
-        .all()
-        for k in range(0, len(eigs), step)
+        (np.abs(lam - centers) - radii <= tol).any() for lam, tol in zip(eigs[outside], slack[outside])
     )
     discs = list(zip(centers.tolist(), radii.tolist()))
     return RegionReport(side, discs, d, h, c_value, eigs, contained)
@@ -315,39 +309,30 @@ def region_meet_closed(spec: CombinedSpec, c_value: ConstantValue) -> RegionRepo
     value H = C * max |f|^(2(beta-gamma)) * max |d_i|, where d is that of
     factor_meet_closed for f**(alpha-beta).
     """
-    return _region(spec, c_value, "meet", factor_meet_closed, down_convolution, spec.alpha, spec.beta)
+    return _region(spec, c_value, "meet", spec.alpha, spec.beta)
 
 
 def region_join_closed(spec: CombinedSpec, c_value: ConstantValue) -> RegionReport:
     """Disc-union eigenvalue region for a join closed index set: the meet
     closed region on the order dual, with alpha and beta swapped."""
-    return _region(spec, c_value, "join", factor_join_closed, up_convolution, spec.beta, spec.alpha)
+    return _region(spec, c_value, "join", spec.beta, spec.alpha)
 
 
-def _region(spec: CombinedSpec, c_value, side, factor, convolution, a, b) -> RegionReport:
+def _region(spec: CombinedSpec, c_value, side, a, b) -> RegionReport:
     """The region for the meet side's (alpha, beta) = (a, b); the join side
     passes its dual.
 
-    When S is every element of a product of chains (``Poset._chains``), in
-    poset order, and f passes ``PosetFunction._chain_multiplicative``, S is
-    meet and join closed, as a product of chains is a lattice, and every
-    element is its own first member, so the d of the diagonal factorization
-    is the convolution itself, with no incidence matrix E; every other S
-    takes the factorization.  The ratio condition is proved by
-    ``_ratio_within_rounding`` where its premises hold, and read off the
-    pair table of the ratios otherwise.
+    d comes from ``matrices.closed_d``, with no incidence matrix E.  The
+    ratio condition is proved by ``_ratio_within_rounding`` where its
+    premises hold, and read off the pair table of the ratios otherwise.
     """
     _require_symmetric_case(spec)
     spec.validate()
-    s, f = spec.subset, spec.f
-    if f._chain_multiplicative and s.indices == tuple(range(len(s.parent))):
-        d = convolution(f, a - b, s).values
-    else:
-        try:
-            _, d = factor(s, f, a - b)
-        except FactorizationError:  # the set is not closed
-            raise HypothesisError(f"the {side}-side region requires a {side} closed set") from None
-    if not _ratio_within_rounding(f, b):
+    try:
+        d = closed_d(spec.subset, spec.f, a - b, side)
+    except FactorizationError:  # the set is not closed
+        raise HypothesisError(f"the {side}-side region requires a {side} closed set") from None
+    if not _ratio_within_rounding(spec.f, b):
         _check_ratio_condition(spec, b)
     return _finish_region(spec, side, c_value, d, 2.0 * (b - spec.gamma))
 

@@ -255,33 +255,39 @@ def incidence_matrix(s: ElementSubset) -> np.ndarray:
 def factor_meet_closed(s: ElementSubset, f: PosetFunction, alpha: float = 1.0):
     """(E, d) with E diag(d) E^T equal to the meet matrix of f**alpha.
 
-    Requires S meet closed.  d_i collects the down-convolution over the
-    elements below x_i that are below no earlier member.
+    Requires S meet closed; d is closed_d's.
     """
-    if not s.is_meet_closed():
-        raise FactorizationError("set is not meet closed")
-    conv = down_convolution(f, alpha, s)
-    return incidence_matrix(s), _closed_d(conv, s.parent._block(conv.domain.indices, s.indices))
+    d = closed_d(s, f, alpha, "meet")  # raises before E is formed
+    return incidence_matrix(s), d
 
 
 def factor_join_closed(s: ElementSubset, f: PosetFunction, alpha: float = 1.0):
     """(E, d) with E^T diag(d) E equal to the join matrix of f**alpha.
 
-    Requires S join closed.  d_i collects the up-convolution over the
-    elements above x_i that are above no later member (the meet-closed d on
-    the order dual, which lists S in reverse).
+    Requires S join closed; d is closed_d's.
     """
-    if not s.is_join_closed():
-        raise FactorizationError("set is not join closed")
-    conv = up_convolution(f, alpha, s)
-    d = _closed_d(conv, s.parent._block(s.indices[::-1], conv.domain.indices).T)
-    return incidence_matrix(s), d[::-1]
+    d = closed_d(s, f, alpha, "join")  # raises before E is formed
+    return incidence_matrix(s), d
 
 
-def _closed_d(conv, under: np.ndarray) -> np.ndarray:
-    """d_i: the convolution summed over the domain elements k for which i is
-    the first member with under[k, i]."""
-    return np.bincount(under.argmax(axis=1), weights=conv.values, minlength=under.shape[1])
+def closed_d(s: ElementSubset, f: PosetFunction, alpha: float, side: str) -> np.ndarray:
+    """The d of the diagonal factorization of the meet (side "meet") or join
+    ("join") matrix of f**alpha on a meet (join) closed S, with no E: d_i
+    collects the down-convolution over the elements below x_i and below no
+    earlier member (the up-convolution over those above x_i and above no
+    later member).  When S is every element in poset order, each is its own
+    first and last member, so d is the convolution itself."""
+    if not (s.is_meet_closed() if side == "meet" else s.is_join_closed()):
+        raise FactorizationError(f"set is not {side} closed")
+    conv = (down_convolution if side == "meet" else up_convolution)(f, alpha, s)
+    if s.indices == tuple(range(len(s.parent))):
+        return conv.values
+    block, domain = s.parent._block, conv.domain.indices
+    if side == "meet":  # [k, i]: w_k lies below x_i
+        first = block(domain, s.indices).argmax(axis=1)
+    else:  # [k, i]: w_k lies above x_(n-1-i)
+        first = len(s) - 1 - block(s.indices[::-1], domain).T.argmax(axis=1)
+    return np.bincount(first, weights=conv.values, minlength=len(s))
 
 
 # -- structure factorizations -------------------------------------------------

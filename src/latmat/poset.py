@@ -289,8 +289,9 @@ class Poset:
         return self._labels[self._pair_bounds("join", [self.index_of(x), self.index_of(y)])[0, 1]]
 
     def is_lattice(self) -> bool:
-        """True iff every pair of elements has a unique meet and a unique join."""
-        return all((self._pairs(b, np.arange(len(self)))[1] == _OK).all() for b in ("meet", "join"))
+        """True iff every pair has a unique meet and a unique join; at once on a product of chains."""
+        every = np.arange(len(self))
+        return self._chains is not None or all((self._pairs(b, every)[1] == _OK).all() for b in ("meet", "join"))
 
     # -- Mobius function ---------------------------------------------------
 
@@ -380,11 +381,14 @@ class ElementSubset:
         return self._pair_tables[bound]
 
     def is_meet_closed(self) -> bool:
-        """True iff the meet of every member pair is again a member."""
-        return bool(np.isin(self.pair_indices("meet"), self.indices).all())
+        """True iff the meet of every member pair is again a member; at once for a whole product of chains."""
+        return self._is_whole_lattice() or bool(np.isin(self.pair_indices("meet"), self.indices).all())
 
     def is_join_closed(self) -> bool:
-        return bool(np.isin(self.pair_indices("join"), self.indices).all())
+        return self._is_whole_lattice() or bool(np.isin(self.pair_indices("join"), self.indices).all())
+
+    def _is_whole_lattice(self) -> bool:
+        return len(self) == len(self.parent) and self.parent._chains is not None
 
     def order_ideal(self) -> "ElementSubset":
         """Downward closure of S, ordered with the members of S first, cached.
@@ -481,7 +485,8 @@ def from_cover_relations(labels, covers) -> Poset:
 
 def divisor_poset(integers) -> Poset:
     """The given positive integers ordered by divisibility, sorted ascending."""
-    vals = sorted(set(int(v) for v in integers))
+    vals = list(map(int, integers))
+    vals = vals if all(map(operator.lt, vals, vals[1:])) else sorted(set(vals))  # divisors_of's are sorted
     if not vals:
         raise PosetError("divisor poset needs at least one element")
     if vals[0] < 1:

@@ -224,6 +224,23 @@ def test_union_blocks_are_the_per_chain_matrices(m, alpha, beta, monkeypatch):
         assert got.tobytes() == ref.tobytes()
 
 
+def _assert_region_is_the_loop(spec, report, cval, b):
+    """The report's H, discs and verdict against one literal loop over every
+    eigenvalue and every disc."""
+    fs = [spec.f.value_at(i) for i in spec.subset.indices]
+    fpow = max(latmat.real_power(abs(v), 2.0 * (b - spec.gamma)) for v in fs)
+    h = cval.value * fpow * float(np.abs(report.d_values).max())
+    diag_exp = spec.alpha + spec.beta - 2.0 * spec.gamma
+    discs = [(latmat.real_power(v, diag_exp), h - latmat.real_power(abs(v), diag_exp)) for v in fs]
+    contained = all(
+        any(abs(lam - c) - r <= bounds.REPORT_TOL * max(1.0, abs(lam)) for c, r in discs)
+        for lam in report.eigenvalues
+    )
+    assert report.h_value == h
+    assert report.discs == discs
+    assert report.contained is contained
+
+
 @pytest.mark.parametrize("alpha, beta", REGION_PAIRS)
 @pytest.mark.parametrize("m", [720, 2520, 10080])
 def test_region_discs_match_the_loop(m, alpha, beta):
@@ -235,20 +252,28 @@ def test_region_discs_match_the_loop(m, alpha, beta):
         cval = bounds.ConstantValue(scale * tn, "user")
         for region, b in ((bounds.region_meet_closed, beta), (bounds.region_join_closed, alpha)):
             report = region(spec, cval)
-            fs = [spec.f.value_at(i) for i in spec.subset.indices]
-            fpow = max(latmat.real_power(abs(v), 2.0 * (b - spec.gamma)) for v in fs)
-            h = cval.value * fpow * float(np.abs(report.d_values).max())
-            diag_exp = spec.alpha + spec.beta - 2.0 * spec.gamma
-            discs = [(latmat.real_power(v, diag_exp), h - latmat.real_power(abs(v), diag_exp)) for v in fs]
-            contained = all(
-                any(abs(lam - c) - r <= bounds.REPORT_TOL * max(1.0, abs(lam)) for c, r in discs)
-                for lam in report.eigenvalues
-            )
-            assert report.h_value == h
-            assert report.discs == discs
-            assert report.contained is contained
-            verdicts.add(contained)
+            _assert_region_is_the_loop(spec, report, cval, b)
+            verdicts.add(report.contained)
     assert verdicts == {False, True}
+
+
+@pytest.mark.parametrize("scale, contained", [(0.01, True), (0.005, False)])
+def test_region_eigenvalues_outside_the_widest_disc_meet_every_disc(scale, contained):
+    # f = (-1)^i x on the divisors of 12 puts centers of both signs; at 0.01 t_6 the
+    # meet side's eigenvalue -36.895 lies outside the widest disc (center 1, radius
+    # 36.475) but inside the disc at -2, so only the pass over every disc holds it
+    p = latmat.divisor_poset(latmat.divisors_of(12))
+    f = PosetFunction(p, [(-1) ** i * x for i, x in enumerate(p.elements)])
+    spec = CombinedSpec(0.0, 1.0, 0.0, 0.0, p.subset(p.elements), f)
+    cval = bounds.ConstantValue(scale * latmat.t_n(6), "user")
+    report = bounds.region_meet_closed(spec, cval)
+    _assert_region_is_the_loop(spec, report, cval, 1.0)
+    assert report.contained is contained
+    center, radius = max(report.discs, key=lambda disc: disc[1])
+    assert center == 1.0
+    outside = [lam for lam in report.eigenvalues if abs(lam - center) - radius > bounds.REPORT_TOL * max(1.0, abs(lam))]
+    assert min(report.eigenvalues) in outside  # the widest disc alone would give False
+    assert abs(min(report.eigenvalues) + 36.895) < 1e-3
 
 
 def test_exact_power_budget_refuses_before_any_power():
@@ -306,6 +331,29 @@ def test_whole_lattice_regions_form_no_table(alpha, beta, monkeypatch):
         report = region(spec, c)
         assert report.d_values.shape == (72,) and report.contained in (True, False)
     assert "_leq" not in vars(spec.f.parent)
+
+
+def test_no_region_forms_the_incidence_matrix(monkeypatch):
+    def refuse_incidence(s):
+        raise AssertionError("the incidence matrix was formed")
+
+    monkeypatch.setattr(latmat.matrices, "incidence_matrix", refuse_incidence)
+    d360 = latmat.divisor_poset(latmat.divisors_of(360))
+    relation = Poset(d360.elements, d360.leq_matrix, _validate=False)
+    d720 = latmat.divisor_poset(latmat.divisors_of(720))
+    cases = [  # S meet and join closed: the divisors of 180 in a relation-route poset, then a whole lattice
+        (relation.subset(latmat.divisors_of(180)), PosetFunction.identity(relation)),
+        (d720.subset(d720.elements), _plus_one(d720)),  # not multiplicative
+    ]
+    for s, f in cases:
+        assert s.parent._chains is None or not f._chain_multiplicative
+        sides = set()
+        for alpha, beta in REGION_PAIRS:
+            for report in _regions(CombinedSpec(alpha, beta, 0.0, 0.0, s, f)):
+                if isinstance(report, dict):
+                    assert report["d_values"].shape == (len(s),)
+                    sides.add(report["side"])
+        assert sides == {"meet", "join"}
 
 
 @pytest.mark.parametrize("alpha, beta", BOUND_PAIRS)

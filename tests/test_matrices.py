@@ -400,6 +400,41 @@ def test_diagonal_factorizations_on_closure_lattices(m3):
         assert matrices_close(e.T @ np.diag(d) @ e, join_matrix(s, f))
 
 
+def _factor_through_e(s, f, alpha, side):
+    """(E, d) as the closed factorizations once formed them: d summed by
+    first (join side: last) member, read off E's relation block."""
+    p = s.parent
+    e = p._block(s.indices, s.indices).T.astype(np.float64)
+    if side == "meet":
+        conv = latmat.down_convolution(f, alpha, s)
+        under = p._block(conv.domain.indices, s.indices)
+        return e, np.bincount(under.argmax(axis=1), weights=conv.values, minlength=len(s))
+    conv = latmat.up_convolution(f, alpha, s)
+    under = p._block(s.indices[::-1], conv.domain.indices).T
+    return e, np.bincount(under.argmax(axis=1), weights=conv.values, minlength=len(s))[::-1]
+
+
+def test_closed_factorizations_match_the_incidence_formula(diamond):
+    # the posets of `latmat selftest`'s factorization check, on every S that is closed
+    cases = [(p, PosetFunction.identity(p)) for p in (latmat.chain_poset(5), latmat.divisor_lattice([36, 8]))]
+    cases.append((diamond, PosetFunction(diamond, [1.0, 2.0, 3.0, 6.0])))
+    compared = 0
+    for p, f in cases:
+        for labels in (p.elements, p.elements[:-1], p.elements[1:], p.elements[1:-1]):
+            s = p.subset(labels)
+            for alpha in (1.0, -1.0, 0.5):
+                for side, factor, closed in (("meet", factor_meet_closed, s.is_meet_closed()),
+                                             ("join", factor_join_closed, s.is_join_closed())):
+                    if not closed:
+                        with pytest.raises(FactorizationError, match=f"not {side} closed"):
+                            factor(s, f, alpha)
+                        continue
+                    for got, want in zip(factor(s, f, alpha), _factor_through_e(s, f, alpha, side)):
+                        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+                    compared += 1
+    assert compared == 48  # the other 24 (S, side, alpha) are open and raise
+
+
 # -- structure factorizations -------------------------------------------------------
 
 

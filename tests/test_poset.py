@@ -49,6 +49,32 @@ def test_divisor_poset_orders_ascending():
     assert p.bottom == 1 and p.top == 12
 
 
+def test_divisor_poset_sorts_only_unsorted_input():
+    want = latmat.divisor_poset(latmat.divisors_of(360))  # already strictly increasing
+    reordered = (reversed(want.elements), list(want.elements) * 2, np.array(want.elements[::-1]), map(str, want.elements))
+    for given in reordered:
+        p = latmat.divisor_poset(given)
+        assert p.elements == want.elements and all(type(x) is int for x in p.elements)
+    assert all(type(x) is int for x in latmat.divisor_poset(np.arange(1, 5)).elements)
+    for given, message in (([], "at least one"), ([0, 2], "positive"), ([2, 0, 2], "positive"),
+                           ([1, 2**63], "below"), ([2**63, 1, 1], "below")):
+        with pytest.raises(PosetError, match=message):
+            latmat.divisor_poset(given)
+
+
+def test_product_of_chains_is_a_closed_lattice_with_no_pair_table(monkeypatch):
+    def refuse(self, bound, idx):
+        raise AssertionError(f"a {len(idx)} x {len(idx)} {bound} table was formed")
+
+    monkeypatch.setattr(latmat.Poset, "_pairs", refuse)
+    p = latmat.divisor_poset(latmat.divisors_of(9777287520))
+    assert len(p) == 2304 and p.is_lattice()
+    every = latmat.ElementSubset(p, range(len(p))[::-1], validate=False)  # any order
+    assert every.is_meet_closed() and every.is_join_closed()
+    with pytest.raises(AssertionError, match="table was formed"):
+        p.subset(p.elements[1:]).is_meet_closed()
+
+
 def test_divisor_poset_rejects_nonpositive():
     with pytest.raises(PosetError):
         latmat.divisor_poset([0, 2])
