@@ -484,9 +484,11 @@ def from_cover_relations(labels, covers) -> Poset:
 
 
 def divisor_poset(integers) -> Poset:
-    """The given positive integers ordered by divisibility, sorted ascending."""
+    """The given positive integers ordered by divisibility, sorted ascending.
+    Strictly increasing input, as divisors_of and gcd_lcm_closure return it,
+    is kept as given; any other is sorted and de-duplicated first."""
     vals = list(map(int, integers))
-    vals = vals if all(map(operator.lt, vals, vals[1:])) else sorted(set(vals))  # divisors_of's are sorted
+    vals = vals if all(map(operator.lt, vals, vals[1:])) else sorted(set(vals))
     if not vals:
         raise PosetError("divisor poset needs at least one element")
     if vals[0] < 1:
