@@ -32,7 +32,7 @@ from .incidence import (
     up_convolution,
 )
 from .matrices import CombinedSpec, FactorizationError, closed_d, pair_ratios
-from .poset import ElementSubset, LatticeError, PosetError, divisor_poset, divisors_of
+from .poset import LatticeError, PosetError, divisor_poset, divisors_of
 
 REPORT_TOL = 1e-9
 CONDITION_TOL = 1e-12
@@ -147,11 +147,19 @@ class RegionReport:
         return "\n".join(lines) + "\n"
 
 
-def _require_symmetric_case(spec: CombinedSpec) -> None:
+def _report(core, spec: CombinedSpec, c_value, side, a, b):
+    """Every report's prologue: gamma = delta and the spec's existence conditions, then
+    the side's core on (a, b), the meet side's (alpha, beta) or the join side's dual
+    (beta, alpha).  A missing meet, join, bottom or top fails a hypothesis of each."""
     if spec.gamma != spec.delta:
         raise HypothesisError(
             "spectral statements need gamma = delta (the matrix must be symmetric)"
         )
+    try:
+        spec.validate()
+        return core(spec, c_value, side, a, b)
+    except LatticeError as exc:
+        raise HypothesisError(str(exc)) from None
 
 
 def _require_nonzero_semimultiplicative(spec: CombinedSpec, domain, closure: str) -> None:
@@ -179,7 +187,7 @@ def lower_bound_meet(spec: CombinedSpec, c_value: ConstantValue) -> BoundReport:
     asked of the rest of the poset.  The bound is c * min over S of that
     convolution * min over S of (f(x)^2)**(beta-gamma).
     """
-    return _lower_bound(spec, c_value, "meet", down_convolution, spec.alpha, spec.beta)
+    return _report(_lower_bound, spec, c_value, "meet", spec.alpha, spec.beta)
 
 
 def lower_bound_join(spec: CombinedSpec, c_value: ConstantValue) -> BoundReport:
@@ -189,25 +197,18 @@ def lower_bound_join(spec: CombinedSpec, c_value: ConstantValue) -> BoundReport:
     positive up-convolution of f**(beta-alpha) on that filter; the last
     factor becomes (f(x)^2)**(alpha-gamma).
     """
-    return _lower_bound(spec, c_value, "join", up_convolution, spec.beta, spec.alpha)
+    return _report(_lower_bound, spec, c_value, "join", spec.beta, spec.alpha)
 
 
-# The cores below take the meet side's (alpha, beta) as (a, b); the join side
-# passes the order dual's: (beta, alpha), up for down, join for meet.
-_CLOSURE = {"meet": ("order ideal", ElementSubset.order_ideal),
-            "join": ("order filter", ElementSubset.order_filter)}
-
-
-def _lower_bound(spec: CombinedSpec, c_value, side, convolution, a, b) -> BoundReport:
-    _require_symmetric_case(spec)
-    spec.validate()
+def _lower_bound(spec: CombinedSpec, c_value, side, a, b) -> BoundReport:
+    """The lower bound on the meet side, or on the join side with up for down."""
     s = spec.subset
-    closure, domain = _CLOSURE[side]
-    try:  # meets and joins of the pairs of S, and a bottom or a top
-        _require_nonzero_semimultiplicative(spec, domain(s), closure)
-        conv = convolution(spec.f, a - b, s)
-    except LatticeError as exc:
-        raise HypothesisError(str(exc)) from None
+    if side == "meet":
+        closure, domain, convolution = "order ideal", s.order_ideal(), down_convolution
+    else:
+        closure, domain, convolution = "order filter", s.order_filter(), up_convolution
+    _require_nonzero_semimultiplicative(spec, domain, closure)
+    conv = convolution(spec.f, a - b, s)
     for k in np.flatnonzero(conv.values <= 0.0)[:1]:
         raise HypothesisError(
             f"the {side}-side lower bound requires a strictly positive "
@@ -309,25 +310,21 @@ def region_meet_closed(spec: CombinedSpec, c_value: ConstantValue) -> RegionRepo
     value H = C * max |f|^(2(beta-gamma)) * max |d_i|, where d is that of
     factor_meet_closed for f**(alpha-beta).
     """
-    return _region(spec, c_value, "meet", spec.alpha, spec.beta)
+    return _report(_region, spec, c_value, "meet", spec.alpha, spec.beta)
 
 
 def region_join_closed(spec: CombinedSpec, c_value: ConstantValue) -> RegionReport:
     """Disc-union eigenvalue region for a join closed index set: the meet
     closed region on the order dual, with alpha and beta swapped."""
-    return _region(spec, c_value, "join", spec.beta, spec.alpha)
+    return _report(_region, spec, c_value, "join", spec.beta, spec.alpha)
 
 
 def _region(spec: CombinedSpec, c_value, side, a, b) -> RegionReport:
-    """The region for the meet side's (alpha, beta) = (a, b); the join side
-    passes its dual.
-
-    d comes from ``matrices.closed_d``, with no incidence matrix E.  The
-    ratio condition is proved by ``_ratio_within_rounding`` where its
-    premises hold, and read off the pair table of the ratios otherwise.
+    """The region on either side.  d comes from ``matrices.closed_d``, with no
+    incidence matrix E.  The ratio condition is proved by
+    ``_ratio_within_rounding`` where its premises hold, and read off the pair
+    table of the ratios otherwise.
     """
-    _require_symmetric_case(spec)
-    spec.validate()
     try:
         d = closed_d(spec.subset, spec.f, a - b, side)
     except FactorizationError:  # the set is not closed

@@ -117,10 +117,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_matrix_args(sp)
     sp.add_argument("--c", default="exact", help="exact | y0 | thm52 | thm53 | value")
 
-    sp = sub.add_parser("region", help="eigenvalue inclusion region for a closed set")
+    sp = sub.add_parser("region", help="eigenvalue inclusion regions for a closed set (both sides)")
     _add_matrix_args(sp)
     sp.add_argument("--C", default="exact", help="exact | tn | value")
-    sp.add_argument("--side", choices=("meet", "join", "auto"), default="auto")
 
     sp = sub.add_parser("constants", help="closed-form constants for a given size")
     sp.add_argument("--n", type=int, required=True)
@@ -204,40 +203,25 @@ def _cmd_factor(args) -> int:
 def _cmd_bounds(args) -> int:
     spec = _build_spec(args)
     c = bounds.resolve_c(len(spec.subset), args.c)
-    produced = 0
-    for name, fn in (("meet", bounds.lower_bound_meet), ("join", bounds.lower_bound_join)):
-        try:
-            report = fn(spec, c)
-        except bounds.HypothesisError as exc:
-            sys.stdout.write(f"{name}-side: not applicable: {exc}\n")
-            continue
-        sys.stdout.write(report.render())
-        produced += 1
-    return 0 if produced else 2
+    return _report_both_sides(spec, c, bounds.lower_bound_meet, bounds.lower_bound_join)
 
 
 def _cmd_region(args) -> int:
     spec = _build_spec(args)
-    cval = bounds.resolve_C(len(spec.subset), args.C)
-    sides = []
-    if args.side in ("meet", "auto"):
-        sides.append(("meet", bounds.region_meet_closed))
-    if args.side in ("join", "auto"):
-        sides.append(("join", bounds.region_join_closed))
+    c = bounds.resolve_C(len(spec.subset), args.C)
+    return _report_both_sides(spec, c, bounds.region_meet_closed, bounds.region_join_closed)
+
+
+def _report_both_sides(spec, c_value, meet_report, join_report) -> int:
+    """Print each side's report, or why its hypotheses fail, meet side first;
+    exit 0 if either side applies, else 2."""
     produced = 0
-    errors = []
-    for name, fn in sides:
+    for name, report in (("meet", meet_report), ("join", join_report)):
         try:
-            report = fn(spec, cval)
+            sys.stdout.write(report(spec, c_value).render())
+            produced += 1
         except bounds.HypothesisError as exc:
-            if args.side == "auto":
-                errors.append(f"{name}-side: not applicable: {exc}")
-                continue
-            raise
-        sys.stdout.write(report.render())
-        produced += 1
-    for msg in errors:
-        sys.stdout.write(msg + "\n")
+            sys.stdout.write(f"{name}-side: not applicable: {exc}\n")
     return 0 if produced else 2
 
 

@@ -37,9 +37,10 @@ def real_power(base: float, exponent: float) -> float:
         raise PowerDomainError(
             f"negative base {base} with non-integer exponent {exponent}"
         )
-    if base < 0.0:
-        return float(base ** int(exponent))
-    return float(base**exponent)
+    try:
+        return float(base ** int(exponent) if base < 0.0 else base**exponent)
+    except OverflowError:
+        raise ValueError(f"{base!r}**{exponent!r} is past float64's range; use a smaller exponent") from None
 
 
 def powers_by_value(values: np.ndarray, power) -> np.ndarray:
@@ -192,6 +193,15 @@ def exact_powers(values: np.ndarray, k: int):
     return (p, 1) if k >= 0 else (1, p)
 
 
+def exact_quotient(num, den, what: str) -> np.ndarray:
+    """num / den in float64, each entry a correctly rounded quotient of Python ints;
+    raises ValueError, naming what, where one is past float64's range."""
+    try:
+        return (num / den).astype(np.float64)
+    except OverflowError:
+        raise ValueError(f"{what} is past float64's range; use a smaller exponent") from None
+
+
 def down_convolution(f: PosetFunction, alpha: float, s: ElementSubset) -> ConvolutionVector:
     """The g on the order ideal of S whose sum over w <= x is f(x)**alpha:
     g(w) is the sum of f(z)**alpha * mu(z, w) over z below w."""
@@ -242,7 +252,8 @@ def _convolution(direction: str, f: PosetFunction, alpha: float, domain) -> Conv
         for k, row in enumerate(below):
             solved[k] -= sum(solved[row])
         g[where] = solved
-    return ConvolutionVector(direction, float(alpha), domain, (g / common).astype(np.float64))
+    values = exact_quotient(g, common, f"the {direction}-convolution of f**{alpha!r}")
+    return ConvolutionVector(direction, float(alpha), domain, values)
 
 
 def is_semimultiplicative(f: PosetFunction, s: ElementSubset | None = None) -> bool:

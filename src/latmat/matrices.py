@@ -19,6 +19,7 @@ from .incidence import (
     PowerDomainError,
     down_convolution,
     exact_powers,
+    exact_quotient,
     powers_by_value,
     real_power,
     up_convolution,
@@ -165,7 +166,7 @@ def combined_matrix(spec: CombinedSpec) -> np.ndarray:
                 den = den * bottom
             else:
                 num = num / bottom
-    out = (num / den if exact else num).astype(np.float64)
+    out = exact_quotient(num, den, "an entry of the combined matrix") if exact else num.astype(np.float64)
     if spec.is_symmetric_case:
         lower = np.tril_indices(n, -1)
         out[lower] = out.T[lower]

@@ -135,6 +135,30 @@ def test_join_bound_positivity_violation():
         lower_bound_join(spec, c_exact(3))
 
 
+@pytest.mark.parametrize("exponents", [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (-1.0, 1.0), (1.0, -1.0), (0.0, -1.0)])
+@pytest.mark.parametrize("poset", ["no meet", "no join"])
+def test_a_missing_meet_or_join_fails_a_hypothesis(poset, exponents):
+    # 2 and 3 have no meet in {2, 3, 6} and no join in the vee 1 < 2, 3: both reports of the
+    # side that needs it name it as a violated hypothesis, and no report lets a LatticeError out
+    if poset == "no meet":
+        p, missing = latmat.divisor_poset([2, 3, 6]), "no common lower bound of 2 and 3|.* a bottom element"
+        needs = (lower_bound_meet, region_meet_closed)
+    else:
+        p, missing = latmat.from_cover_relations([1, 2, 3], [(1, 2), (1, 3)]), "no common upper bound of 2 and 3|.* a top element"
+        needs = (lower_bound_join, region_join_closed)
+    spec = CombinedSpec(*exponents, 0.0, 0.0, p.subset(p.elements), PosetFunction.identity(p))
+    for report, c in ((lower_bound_meet, c_exact(3)), (lower_bound_join, c_exact(3)),
+                      (region_meet_closed, C_exact(3)), (region_join_closed, C_exact(3))):
+        if report in needs:
+            with pytest.raises(HypothesisError, match=f"^({missing})$"):
+                report(spec, c)
+        else:
+            try:
+                report(spec, c)
+            except HypothesisError:
+                pass
+
+
 # The hypotheses are checked on S and its ideal or filter only: the cases below
 # were not applicable while they were checked on the whole poset.
 

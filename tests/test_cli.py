@@ -110,6 +110,22 @@ def test_exact_power_past_the_budget_exits_2(capsys):
     assert captured.out == "" and "use a smaller exponent" in captured.err
 
 
+@pytest.mark.parametrize(
+    "command, exp, message",
+    [
+        ("build", "400,0,0,0", "an entry of the combined matrix is past float64's range"),
+        ("build", "400.5,0,0,0", "6.0**400.5 is past float64's range"),
+        ("bounds", "400,0,0,0", "the down-convolution of f**400.0 is past float64's range"),
+    ],
+    ids=["exact-entry", "float-power", "convolution"],
+)
+def test_power_past_float64_exits_2(command, exp, message, capsys):
+    # each of the three places a value can pass float64's range names it and exits 2
+    assert run([command, "--poset", "divisors:1,2,3,4,6,12", f"--exp={exp}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}; use a smaller exponent\n"
+
+
 def test_unknown_flag_exits_2(capsys):
     assert run(["build", "--poset", "chain:2", "--func", "N", "--exp", "1,0,0,0", "--frobnicate"]) == 2
 
@@ -206,10 +222,37 @@ def test_region_exact_past_the_scan_cap(capsys):
 
 
 def test_region_side_violation_exits_2(capsys):
+    # {2, 3} is neither meet nor join closed: both sides are not applicable
     code = run(["region", "--poset", "divisors:1,2,3,4,6,12", "--set", "2,3",
-                "--func", "N", "--exp", "1,0,0,0", "--C", "exact", "--side", "meet"])
+                "--func", "N", "--exp", "1,0,0,0", "--C", "exact"])
+    captured = capsys.readouterr()
     assert code == 2
-    assert "meet closed" in capsys.readouterr().err
+    assert captured.out.splitlines() == [
+        "meet-side: not applicable: the meet-side region requires a meet closed set",
+        "join-side: not applicable: the join-side region requires a join closed set",
+    ]
+    assert captured.err == ""
+
+
+def test_region_reports_the_side_that_applies(capsys):
+    # 2 and 3 have no meet: the meet side is not applicable, the join side answers
+    code = run(["region", "--poset", "divisors:2,3,6", "--exp=0,1,0,0"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.startswith("meet-side: not applicable: no common lower bound of 2 and 3\nside: join\n")
+    assert "contained: true" in out
+
+
+@pytest.mark.parametrize("exp", ["-1,1,0,0", "1,1,0,0"])
+def test_bounds_without_a_meet_is_not_applicable(exp, capsys):
+    # a missing meet fails a hypothesis of both sides, whatever the exponents' signs
+    code = run(["bounds", "--poset", "divisors:2,3,6", f"--exp={exp}"])
+    captured = capsys.readouterr()
+    assert code == 2
+    lines = captured.out.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["meet-side", "join-side"]
+    assert all(": not applicable: " in line for line in lines)
+    assert captured.err == ""
 
 
 def test_constants_command(capsys):
@@ -275,15 +318,16 @@ def test_cap_error_names_the_search_override(capsys):
         (["region", "--tol", "1e-9"], 2),
         (["bounds", "--format", "pretty"], 2),
         (["region", "--format", "pretty"], 2),
+        (["region", "--side", "meet"], 2),
         (["build", "--format", "pretty"], 0),
         (["factor", "--via", "ideal", "--format", "pretty"], 0),
     ],
     ids=["build-tol", "factor-tol", "bounds-tol", "region-tol", "bounds-format", "region-format",
-         "build-format", "factor-format"],
+         "region-side", "build-format", "factor-format"],
 )
 def test_matrix_command_flags(argv, code, capsys):
     # --format is taken by the two commands that print matrices; no matrix
-    # command takes --tol
+    # command takes --tol, and region reports both sides, with no --side
     common = ["--poset", "divisors:1,2,3,4,6,12", "--func", "N", "--exp", "1,0,0,0"]
     assert run(argv[:1] + common + argv[1:]) == code
 
