@@ -21,10 +21,14 @@ Python ints, so no float decides which masks are left:
   decided, each new entry z_j of Y lies in an interval: the decided part,
   minus the positive y_kj or plus the absolute values of the negative ones
   over the undecided k.  z^2 + Q(a(z), b(z)) grows with |z| on each side of
-  0, so its largest value on the interval is at one of the ends.  The rows
-  decided so far, these largest values and the constants of the columns not
-  yet started bound ||Y||_F^2 for every completion of the prefix.  On a
-  whole row this is the row-level bound, and on a whole mask it is exact.
+  0, so its largest value on the interval is at the end on a side of 0 the
+  interval reaches, or the larger of the two ends where it reaches both.
+  The rows decided so far, these largest values and the constants of the
+  columns not yet started bound ||Y||_F^2 for every completion of the
+  prefix.  On a whole row this is the row-level bound, and on a whole mask
+  it is exact.  The bit of x_rk moves only the intervals of the columns
+  j <= k, so a prefix carries each column's term of the bound and a child
+  evaluates only those columns again.
 * G0 = Y0^T Y0, with Y0 = y0^-1, and v = G0^2 1 (two power steps from the
   all-ones vector, each shifted to about 64 bits) give the Rayleigh quotient
   v^T G0 v / v^T v <= lambda_max(G0) = 1 / kappa(y0).  A prefix is pruned iff
@@ -35,7 +39,8 @@ Python ints, so no float decides which masks are left:
 
 c_n is then the smallest value among the survivors, the smallest mask
 winning a tie.  Every value comes from one route, that of ``kappa_y0``:
-1 / lambda_max(Y^T Y), with Y^T Y formed in ints.  The search visits n^2 - 1
+1 / lambda_max(Y^T Y), with Y^T Y formed in ints; y0's Y^T Y is the G0 of
+the proof, so y0 is not inverted again.  The search visits n^2 - 1
 prefixes (24 at n = 4) and keeps y0 alone, or y0 and mask 51 at n = 4.
 ``search_Cn`` maximizes the largest eigenvalue, which the all-ones mask
 attains, so it is the closed form of the MIN matrix's largest eigenvalue
@@ -56,7 +61,7 @@ from ._kernels import mask_to_matrix, tri_positions
 from .spectra import eigen_symmetric
 
 DEFAULT_MAX_N = 8  # enumerate_kn's cap: 2^28 masks
-CERTIFY_MAX_N = 60  # the certified search takes about 0.4 s there
+CERTIFY_MAX_N = 60  # the certified search takes about 0.1 s there
 
 
 @dataclass(frozen=True)
@@ -118,20 +123,22 @@ def _inverse(x) -> np.ndarray:
     return inv
 
 
-def _inverse_gram_value(inv) -> float:
-    """lambda_min(X X^T) as 1 / lambda_max(Y^T Y), with Y = X^-1 in Python ints.
+def _gram_value(g) -> float:
+    """lambda_min(X X^T) as 1 / lambda_max(Y^T Y), from g = Y^T Y in Python
+    ints, with Y = X^-1.
 
     (X X^T)^-1 = Y^T Y is formed exactly and rounded once per entry, and its
     largest eigenvalue has a small relative error; the smallest eigenvalue of
     X X^T itself drowns in rounding as n grows.  Raises SpectraError (a
     ValueError) where an entry or the eigenvalue overflows float64.
     """
-    return 1.0 / eigen_symmetric(inv.T @ inv).max
+    return 1.0 / eigen_symmetric(g).max
 
 
 def mask_value(n: int, bits: int) -> float:
     """lambda_min(X X^T) of a K(n) mask, by the route every c_n value takes."""
-    return _inverse_gram_value(_inverse(mask_to_matrix(n, bits)))
+    inv = _inverse(mask_to_matrix(n, bits))
+    return _gram_value(inv.T @ inv)
 
 
 # -- certified search -----------------------------------------------------------
@@ -170,7 +177,10 @@ class _Prefix(NamedTuple):
     the absolute values of its negative entries so far.  Row r decides its
     bits in the order `order`; for each j < r, d[j] is the decided part of
     the new entry z_j, and up[j] and un[j] sum the positive y_kj and the
-    absolute values of the negative ones over the undecided k.
+    absolute values of the negative ones over the undecided k.  t[j] is
+    column j's term of the bound, from ``_terms``: deciding the bit of row k
+    changes only the columns j <= k, so a child takes the others' terms from
+    its parent.
     """
 
     r: int
@@ -184,34 +194,49 @@ class _Prefix(NamedTuple):
     d: tuple
     up: tuple
     un: tuple
+    t: tuple
 
 
-def _start_row(r: int, bits: int, rows: tuple, s: tuple, p: tuple, q: tuple) -> _Prefix:
+def _terms(n: int, r: int, s, p, q, d, up, un) -> list:
+    """Each column's term of the bound with row r undecided: s_j plus the
+    largest z^2 + Q(a, b) on z_j's interval [lo, hi], with a the larger of
+    the column's positive and negative sums.  That value grows with |z| on
+    each side of 0, so it is taken at hi where hi >= 0 and at lo where
+    lo < 0.  zip stops at the shortest argument, so a child passes only the
+    columns its decision changes."""
+    al, be, ga = _fibonacci_tables(n)[0][n - 1 - r]
+    terms = []
+    for s, p, q, d, up, un in zip(s, p, q, d, up, un):
+        lo, hi, best = d - up, d + un, 0
+        if hi >= 0:
+            a, b = p + hi, q
+            a, b = a if a > b else b, a + b
+            best = hi * hi + (al * a + be * b) * a + ga * b * b
+        if lo < 0:
+            a, b = p, q - lo
+            a, b = a if a > b else b, a + b
+            z = lo * lo + (al * a + be * b) * a + ga * b * b
+            best = z if z > best else best
+        terms.append(s + best)
+    return terms
+
+
+def _start_row(n: int, r: int, bits: int, rows: tuple, s: tuple, p: tuple, q: tuple) -> _Prefix:
     order = tuple(sorted(range(r), key=lambda k: -sum(map(abs, rows[k]))))
-    up = tuple(sum(row[j] for row in rows[j:] if row[j] > 0) for j in range(r))
-    un = tuple(sum(-row[j] for row in rows[j:] if row[j] < 0) for j in range(r))
-    return _Prefix(r, 0, bits, rows, s, p, q, order, (0,) * r, up, un)
+    # with no bit of row r decided, every k < r is undecided: up = p, un = q
+    d = (0,) * r
+    return _Prefix(r, 0, bits, rows, s, p, q, order, d, p, q, tuple(_terms(n, r, s, p, q, d, p, q)))
 
 
 def _root(n: int) -> _Prefix:
     """Row 0 decided (it has no bits), row 1 started; for n = 1 the one mask."""
-    empty = _start_row(0, 0, (), (), (), ())
+    empty = _start_row(n, 0, 0, (), (), (), ())
     return empty if n == 1 else _children(n, empty)[0]
 
 
 def _bound(n: int, node: _Prefix) -> int:
     """An integer upper bound on ||X^-1||_F^2 over every completion of `node`."""
-    coef, tail = _fibonacci_tables(n)
-    al, be, ga = coef[n - 1 - node.r]
-    total = tail[node.r]
-    for s, p, q, d, up, un in zip(node.s, node.p, node.q, node.d, node.up, node.un):
-        best = 0
-        for z in (d - up, d + un):  # the ends of z_j's interval
-            a, b = (p + z, q) if z >= 0 else (p, q - z)
-            a, b = max(a, b), a + b
-            best = max(best, z * z + (al * a + be * b) * a + ga * b * b)
-        total += s + best
-    return total
+    return _fibonacci_tables(n)[1][node.r] + sum(node.t)
 
 
 def _children(n: int, node: _Prefix) -> list:
@@ -220,26 +245,32 @@ def _children(n: int, node: _Prefix) -> list:
     r, pos = node.r, node.pos
     if pos < r:
         k = node.order[pos]
-        yk = node.rows[k]  # y_kj is zero for j > k
-        up = tuple(u - y if y > 0 else u for u, y in zip(node.up, yk)) + node.up[k + 1 :]
-        un = tuple(u + y if y < 0 else u for u, y in zip(node.un, yk)) + node.un[k + 1 :]
-        d = tuple(dj - y for dj, y in zip(node.d, yk)) + node.d[k + 1 :]
+        yk = node.rows[k]  # y_kj is zero for j > k: the columns j <= k change
+        up = [u - y if y > 0 else u for u, y in zip(node.up, yk)]
+        un = [u + y if y < 0 else u for u, y in zip(node.un, yk)]
+        d = [dj - y for dj, y in zip(node.d, yk)]
+        bits, rows, s, p, q, order = node.bits, node.rows, node.s, node.p, node.q, node.order
+        t0 = _terms(n, r, s, p, q, node.d, up, un)
+        t1 = _terms(n, r, s, p, q, d, up, un)
+        rest = slice(k + 1, None)
+        up, un, t = tuple(up) + node.up[rest], tuple(un) + node.un[rest], node.t[rest]
         bit = 1 << (r * (r - 1) // 2 + k)
         return [
-            node._replace(pos=pos + 1, up=up, un=un),
-            node._replace(pos=pos + 1, bits=node.bits | bit, d=d, up=up, un=un),
+            _Prefix(r, pos + 1, bits, rows, s, p, q, order, node.d, up, un, tuple(t0) + t),
+            _Prefix(r, pos + 1, bits | bit, rows, s, p, q, order, tuple(d) + node.d[rest], up, un, tuple(t1) + t),
         ]
     if r >= n - 1:
         return []
     z = node.d
     return [
         _start_row(
+            n,
             r + 1,
             node.bits,
             node.rows + (z + (1,),),
-            tuple(s + y * y for s, y in zip(node.s, z)) + (1,),
-            tuple(p + y if y > 0 else p for p, y in zip(node.p, z)) + (1,),
-            tuple(q - y if y < 0 else q for q, y in zip(node.q, z)) + (0,),
+            tuple([s + y * y for s, y in zip(node.s, z)]) + (1,),
+            tuple([p + y if y > 0 else p for p, y in zip(node.p, z)]) + (1,),
+            tuple([q - y if y < 0 else q for q, y in zip(node.q, z)]) + (0,),
         )
     ]
 
@@ -284,10 +315,14 @@ def certify_cn(n: int, cap: int | None = None) -> Certificate:
     A depth-first search with an explicit stack over the bits of X, row by
     row; see the module docstring for the bound and the pruning rule.
     """
+    return _certify(n, cap)[0]
+
+
+def _certify(n: int, cap: int | None):
+    """certify_cn(n, cap), and the G0 its proof rests on."""
     why = "its time grows about as n**4; waive it with cap= or `latmat search --i-know`"
     _check_n(n, CERTIFY_MAX_N if cap is None else cap, "search", why)
-    y0 = y0_inverse(n)
-    g0 = y0.T @ y0
+    g0 = _y0_gram(n)
     v = _top_vector(g0)
     num, den = int(v.dot(g0.dot(v))), int(v.dot(v))
     survivors, nodes, stack = [], 0, [_root(n)]
@@ -300,13 +335,16 @@ def certify_cn(n: int, cap: int | None = None) -> Certificate:
         stack.extend(children)
         if not children:
             survivors.append(node.bits)
-    return Certificate(n, tuple(sorted(survivors)), num, den, nodes)
+    return Certificate(n, tuple(sorted(survivors)), num, den, nodes), g0
 
 
 def _certified(n: int, cap: int | None = None):
-    """certify_cn(n), and each survivor's value."""
-    cert = certify_cn(n, cap)
-    return cert, {mask: mask_value(n, mask) for mask in cert.survivors}
+    """certify_cn(n), and each survivor's value.  y0, which always survives,
+    is valued from the G0 of the proof, the Y^T Y that ``mask_value`` would
+    form again."""
+    cert, g0 = _certify(n, cap)
+    y0 = y0_mask(n).bits
+    return cert, {mask: _gram_value(g0) if mask == y0 else mask_value(n, mask) for mask in cert.survivors}
 
 
 def _least(n: int, values: dict) -> SearchResult:
@@ -418,8 +456,10 @@ def y0_matrix(n: int) -> np.ndarray:
 
 
 def y0_mask(n: int) -> TriangularMask:
-    bits = y0_matrix(n)[tri_positions(n)].tolist()
-    return TriangularMask(n, sum(bit << k for k, bit in enumerate(bits)))
+    """y0 as a mask, without forming it: entry (i, j) is bit i(i-1)/2 + j."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    return TriangularMask(n, sum(1 << (i * (i - 1) // 2 + j) for i in range(n) for j in range(1 - i % 2, i, 2)))
 
 
 def n0_frobenius(n: int) -> float:
@@ -456,15 +496,21 @@ def y0_inverse(n: int) -> np.ndarray:
     return _inverse(y0_matrix(n))
 
 
+def _y0_gram(n: int) -> np.ndarray:
+    """G0 = Y0^T Y0 in Python ints, with Y0 = y0^-1."""
+    inv = y0_inverse(n)
+    return inv.T @ inv
+
+
 def kappa_y0(n: int) -> float:
     """Smallest eigenvalue of the conjectured extremal Gram matrix y0 y0^T,
-    as 1 / lambda_max(Y0^T Y0) with Y0 = y0^-1 (``_inverse_gram_value``).
+    as 1 / lambda_max(Y0^T Y0) with Y0 = y0^-1 (``_gram_value``).
 
     A direct solve of y0 y0^T drowns in rounding as n grows: it gives
     -4.8e-16 at n = 60, against 4.17e-25.  Raises SpectraError (a
     ValueError) where Y0^T Y0 or its largest eigenvalue overflows float64.
     """
-    return _inverse_gram_value(y0_inverse(n))
+    return _gram_value(_y0_gram(n))
 
 
 def verify_conjecture(n: int) -> ConjectureCheck:

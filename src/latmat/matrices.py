@@ -149,6 +149,7 @@ def combined_matrix(spec: CombinedSpec) -> np.ndarray:
     # one correctly rounded int / int per entry at the end.
     num = np.ones((n, n), dtype=object if exact else np.float64)
     den = np.ones((n, n), dtype=object)
+    powers = []  # the float path's (power, multiplies), in the order applied
     with np.errstate(over="ignore", invalid="ignore"):  # as Python floats do
         for values, exponent, multiplies in factors:
             if exponent == 0.0:
@@ -157,6 +158,7 @@ def combined_matrix(spec: CombinedSpec) -> np.ndarray:
                 top, bottom = exact_powers(values(), int(exponent))
             else:
                 top, bottom = powers_by_value(values(), lambda v: real_power(v, exponent)), 1
+                powers.append((top, multiplies))
             if not multiplies:
                 top, bottom = bottom, top
             if np.any(bottom == 0):
@@ -166,11 +168,30 @@ def combined_matrix(spec: CombinedSpec) -> np.ndarray:
                 den = den * bottom
             else:
                 num = num / bottom
-    out = exact_quotient(num, den, "an entry of the combined matrix") if exact else num.astype(np.float64)
+    out = exact_quotient(num, den, "an entry of the combined matrix") if exact else _refit(num, powers)
     if spec.is_symmetric_case:
         lower = np.tril_indices(n, -1)
         out[lower] = out.T[lower]
     return out
+
+
+def _refit(num: np.ndarray, powers: list) -> np.ndarray:
+    """The float path's entries, with each entry that came out non-finite
+    (a product of powers past float64 before its divisors applied) formed
+    again from the powers' mantissas and binary exponents, so that no partial
+    product overflows; raises ValueError where the entry itself is past
+    float64's range.  Every finite entry is kept as it is."""
+    bad = ~np.isfinite(num)
+    if bad.any():
+        mantissa, exponent = np.ones(int(bad.sum())), np.zeros(int(bad.sum()), dtype=np.int64)
+        for power, multiplies in powers:
+            m, e = np.frexp(np.broadcast_to(power, num.shape)[bad])
+            mantissa, exponent = (mantissa * m, exponent + e) if multiplies else (mantissa / m, exponent - e)
+        with np.errstate(over="ignore"):
+            num[bad] = np.ldexp(mantissa, exponent)
+        if not np.isfinite(num).all():
+            raise ValueError("an entry of the combined matrix is past float64's range; use a smaller exponent")
+    return num
 
 
 def meet_matrix(s: ElementSubset, f: PosetFunction, alpha: float = 1.0) -> np.ndarray:

@@ -2,6 +2,7 @@ import os
 import shlex
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -124,6 +125,30 @@ def test_power_past_float64_exits_2(command, exp, message, capsys):
     assert run([command, "--poset", "divisors:1,2,3,4,6,12", f"--exp={exp}"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == f"error: {message}; use a smaller exponent\n"
+
+
+def test_float_entry_divides_before_it_overflows(capsys):
+    # at (6, 6), 6^200.5 * 6^199.5 is past float64, but the entry, divided by
+    # 6^100 * 6^100, is 6^200
+    assert run(["build", "--poset", "chain:6", "--exp=200.5,199.5,100,100"]) == 0
+    m = latmat.parse_matrix_csv(capsys.readouterr().out)
+    assert np.isfinite(m).all()
+    assert abs(m[5, 5] - 6.0**200) <= 1e-12 * 6.0**200
+
+
+def test_float_entry_past_float64_exits_2(capsys):
+    assert run(["build", "--poset", "chain:6", "--exp=200.5,199.5,0,0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: an entry of the combined matrix is past float64's range; use a smaller exponent\n"
+
+
+def test_bounds_on_a_float_entry_divided_before_it_overflows(capsys):
+    # a RuntimeWarning raised as an error would end in an internal error, exit 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run(["bounds", "--poset", "chain:6", "--exp=200.5,199.5,100,100"]) == 0
+    assert "internal error" not in capsys.readouterr().err
 
 
 def test_unknown_flag_exits_2(capsys):

@@ -352,6 +352,20 @@ def test_certified_witness_bits_and_values():
     assert latmat.search_cn(6).value == 0.014827585246472258  # perfbench's pinned c_6
 
 
+def test_search_values_y0_from_the_certificates_g0(monkeypatch):
+    # y0 is valued from the G0 of the proof, so one search inverts y0 once
+    # and inverts again only for another survivor (mask 51 at n = 4)
+    inverse, calls = constants._inverse, []
+    monkeypatch.setattr(constants, "_inverse", lambda x: calls.append(1) or inverse(x))
+    for n in (*range(1, 13), 20, 40, 60):
+        calls.clear()
+        r = latmat.search_cn(n)
+        assert len(calls) == (2 if n == 4 else 1), n
+        assert r.value.hex() == latmat.kappa_y0(n).hex(), n
+        assert r.witness == constants.y0_mask(n), n
+        assert np.array_equal(r.witness.to_matrix(), latmat.y0_matrix(n)), n
+
+
 def test_certified_survivors_and_nodes():
     cert = latmat.certify_cn(4)
     assert cert.survivors == (45, 51) and cert.nodes == 24
