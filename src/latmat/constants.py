@@ -197,7 +197,7 @@ class _Prefix(NamedTuple):
     t: tuple
 
 
-def _terms(n: int, r: int, s, p, q, d, up, un) -> list:
+def _terms(n: int, r: int, s, p, q, d, up, un) -> tuple:
     """Each column's term of the bound with row r undecided: s_j plus the
     largest z^2 + Q(a, b) on z_j's interval [lo, hi], with a the larger of
     the column's positive and negative sums.  That value grows with |z| on
@@ -218,14 +218,14 @@ def _terms(n: int, r: int, s, p, q, d, up, un) -> list:
             z = lo * lo + (al * a + be * b) * a + ga * b * b
             best = z if z > best else best
         terms.append(s + best)
-    return terms
+    return tuple(terms)
 
 
 def _start_row(n: int, r: int, bits: int, rows: tuple, s: tuple, p: tuple, q: tuple) -> _Prefix:
     order = tuple(sorted(range(r), key=lambda k: -sum(map(abs, rows[k]))))
     # with no bit of row r decided, every k < r is undecided: up = p, un = q
     d = (0,) * r
-    return _Prefix(r, 0, bits, rows, s, p, q, order, d, p, q, tuple(_terms(n, r, s, p, q, d, p, q)))
+    return _Prefix(r, 0, bits, rows, s, p, q, order, d, p, q, _terms(n, r, s, p, q, d, p, q))
 
 
 def _root(n: int) -> _Prefix:
@@ -256,8 +256,8 @@ def _children(n: int, node: _Prefix) -> list:
         up, un, t = tuple(up) + node.up[rest], tuple(un) + node.un[rest], node.t[rest]
         bit = 1 << (r * (r - 1) // 2 + k)
         return [
-            _Prefix(r, pos + 1, bits, rows, s, p, q, order, node.d, up, un, tuple(t0) + t),
-            _Prefix(r, pos + 1, bits | bit, rows, s, p, q, order, tuple(d) + node.d[rest], up, un, tuple(t1) + t),
+            _Prefix(r, pos + 1, bits, rows, s, p, q, order, node.d, up, un, t0 + t),
+            _Prefix(r, pos + 1, bits | bit, rows, s, p, q, order, tuple(d) + node.d[rest], up, un, t1 + t),
         ]
     if r >= n - 1:
         return []

@@ -168,14 +168,14 @@ def combined_matrix(spec: CombinedSpec) -> np.ndarray:
                 den = den * bottom
             else:
                 num = num / bottom
-    out = exact_quotient(num, den, "an entry of the combined matrix") if exact else _refit(num, powers)
+    out = exact_quotient(num, den, "an entry of the combined matrix") if exact else _redo_overflowed(num, powers)
     if spec.is_symmetric_case:
         lower = np.tril_indices(n, -1)
         out[lower] = out.T[lower]
     return out
 
 
-def _refit(num: np.ndarray, powers: list) -> np.ndarray:
+def _redo_overflowed(num: np.ndarray, powers: list) -> np.ndarray:
     """The float path's entries, with each entry that came out non-finite
     (a product of powers past float64 before its divisors applied) formed
     again from the powers' mantissas and binary exponents, so that no partial

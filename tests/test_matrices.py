@@ -122,6 +122,24 @@ def test_combined_entry_formula(div6):
             assert m[a, b] == pytest.approx(want, rel=1e-14)
 
 
+def test_float_entries_that_overflow_before_their_divisors_are_formed_again():
+    # meet^a * join^b / (x^g * y^g) on chain:6: on some entries the product
+    # passes float64 before the divisors apply, although no entry does
+    p = latmat.chain_poset(6)
+    s, f = identity_subset(p)
+    a, b, g = 200.5, 199.5, 100.0
+    m = combined_matrix(CombinedSpec(a, b, g, g, s, f))
+    x = np.arange(1.0, 7.0)
+    lo, hi = np.minimum.outer(x, x), np.maximum.outer(x, x)
+    with np.errstate(over="ignore"):
+        product_first = lo**a * hi**b / x[:, None] ** g / x[None, :] ** g
+    finite = np.isfinite(product_first)
+    assert not finite.all()
+    assert np.array_equal(m[finite], product_first[finite])  # a finite product keeps its bits
+    logs = a * np.log(lo) + b * np.log(hi) - g * np.log(x)[:, None] - g * np.log(x)[None, :]
+    assert np.allclose(m[~finite], np.exp(logs[~finite]), rtol=1e-12, atol=0)
+
+
 def test_combined_asymmetric_case(div6):
     s, f = identity_subset(div6)
     spec = CombinedSpec(1.0, 0.0, 1.0, 0.0, s, f)
