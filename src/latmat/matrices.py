@@ -183,7 +183,8 @@ def _redo_overflowed(num: np.ndarray, powers: list) -> np.ndarray:
     float64's range.  Every finite entry is kept as it is."""
     bad = ~np.isfinite(num)
     if bad.any():
-        mantissa, exponent = np.ones(int(bad.sum())), np.zeros(int(bad.sum()), dtype=np.int64)
+        count = int(bad.sum())
+        mantissa, exponent = np.ones(count), np.zeros(count, dtype=np.int64)
         for power, multiplies in powers:
             m, e = np.frexp(np.broadcast_to(power, num.shape)[bad])
             mantissa, exponent = (mantissa * m, exponent + e) if multiplies else (mantissa / m, exponent - e)
