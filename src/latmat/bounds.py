@@ -185,7 +185,7 @@ def lower_bound_meet(spec: CombinedSpec, c_value: ConstantValue) -> BoundReport:
     S, a bottom, an f nowhere zero on S and its order ideal, and a strictly
     positive down-convolution of f**(alpha-beta) on that ideal; nothing is
     asked of the rest of the poset.  The bound is c * min over S of that
-    convolution * min over S of (f(x)^2)**(beta-gamma).
+    convolution * min over S of |f(x)|**(2(beta-gamma)).
     """
     return _report(_lower_bound, spec, c_value, "meet", spec.alpha, spec.beta)
 
@@ -195,7 +195,7 @@ def lower_bound_join(spec: CombinedSpec, c_value: ConstantValue) -> BoundReport:
 
     Needs a top, an f nowhere zero on S and its order filter, and a strictly
     positive up-convolution of f**(beta-alpha) on that filter; the last
-    factor becomes (f(x)^2)**(alpha-gamma).
+    factor becomes |f(x)|**(2(alpha-gamma)).
     """
     return _report(_lower_bound, spec, c_value, "join", spec.beta, spec.alpha)
 
@@ -216,7 +216,8 @@ def _lower_bound(spec: CombinedSpec, c_value, side, a, b) -> BoundReport:
             f"violated at {conv.domain.labels[k]!r} (value {conv.values[k]})"
         )
     min_conv = float(conv.values[: len(s)].min())
-    min_fpow = min(real_power(spec.f.value_at(i) ** 2, b - spec.gamma) for i in s.indices)
+    fs, e = np.abs(spec.f.values[list(s.indices)]), 2.0 * (b - spec.gamma)
+    min_fpow = real_power(float(fs.min() if e >= 0.0 else fs.max()), e)  # monotone in |f| > 0: no larger power
     bound = c_value.value * min_conv * min_fpow
     true_kappa = float(np.abs(spec.spectrum.eigenvalues).min())
     holds = bound <= true_kappa + REPORT_TOL * max(1.0, abs(true_kappa))
@@ -257,10 +258,10 @@ def _ratio_within_rounding(f: PosetFunction, exponent: float) -> bool:
     normal and r_j = r_(j-1) f(x_j) (1 + d_j) with |d_j| <= u, d_1 = 0: f(x) is
     the exact product P(x) times k-1 such factors.  The meet and the join
     take each chain's smaller and larger member of x and y, so
-    P(meet) P(join) = P(x) P(y) exactly.  pair_ratios forms
-    fl(fl(f(meet) f(join)) / fl(f(x) f(y))), whose products are normal and
-    whose quotient is near 1, so each rounds once more with |d| <= u.  The
-    computed ratio is then 4k-1 factors (1 + d)**(+-1), and
+    P(meet) P(join) = P(x) P(y) exactly.  pair_ratios forms ((f(meet) f(join))
+    / f(x)) / f(y) on mantissas and binary exponents: each of its three steps
+    rounds once with |d| <= u, and the ratio, near 1, needs no further rounding.
+    The computed ratio is then 4k-1 factors (1 + d)**(+-1), and
     |ratio - 1| <= g = (4k-1)u / (1 - (4k-1)u) (Higham, Accuracy and Stability
     of Numerical Algorithms, Lemma 3.1).  The labels are below 2**63, so
     k <= 15 and |ln ratio| <= g / (1 - g) <= 1.01 * 4k * u, and the exact

@@ -118,7 +118,8 @@ class PosetFunction:
         chains = self.parent._chains
         if chains is None or (self.values <= 0.0).any():
             return False
-        products = reduce(np.multiply.outer, [self.values[m] for m in chains.members()], np.ones(()))
+        with np.errstate(over="ignore"):  # an overflowed product is inf, so unequal to any finite f
+            products = reduce(np.multiply.outer, [self.values[m] for m in chains.members()], np.ones(()))
         return np.array_equal(products.ravel(), self.values[chains.index])  # both in code order
 
 
@@ -202,6 +203,19 @@ def exact_quotient(num, den, what: str) -> np.ndarray:
         raise ValueError(f"{what} is past float64's range; use a smaller exponent") from None
 
 
+def float_product(factors, shape=()) -> np.ndarray:
+    """The product of (array, multiplies) factors, each multiplied in or divided out in
+    order, on np.frexp mantissas and int64 binary exponents with one np.ldexp at the end:
+    no partial product leaves float64's range, an entry whose plain float partial products
+    are normal keeps their bits, and one past float64's range is inf for the caller."""
+    mantissa, exponent = np.ones(shape), np.zeros(shape, dtype=np.int64)
+    for values, multiplies in factors:
+        m, e = np.frexp(values)
+        mantissa, exponent = (mantissa * m, exponent + e) if multiplies else (mantissa / m, exponent - e)
+    with np.errstate(over="ignore"):
+        return np.ldexp(mantissa, exponent)
+
+
 def down_convolution(f: PosetFunction, alpha: float, s: ElementSubset) -> ConvolutionVector:
     """The g on the order ideal of S whose sum over w <= x is f(x)**alpha:
     g(w) is the sum of f(z)**alpha * mu(z, w) over z below w."""
@@ -258,14 +272,19 @@ def _convolution(direction: str, f: PosetFunction, alpha: float, domain) -> Conv
 
 def is_semimultiplicative(f: PosetFunction, s: ElementSubset | None = None) -> bool:
     """Check f(x)f(y) = f(meet)f(join) for every pair of members of s (default:
-    every element of f's poset), to the relative tolerance SEMIMULT_TOL.  A
-    pair without a unique meet or join raises LatticeError."""
+    every element of f's poset), to the relative tolerance SEMIMULT_TOL: a pair whose
+    products pass float64 by |f(meet)f(join) / f(x) / f(y) - 1|, the same test where
+    |f(x)f(y)| >= 1.  A pair without a unique meet or join raises LatticeError."""
     if s is None:
         s = ElementSubset(f.parent, range(len(f.parent)), validate=False)
     if s.parent is not f.parent:
         raise ValueError("function and subset live on different posets")
-    v = f.values
-    lhs = np.outer(v[list(s.indices)], v[list(s.indices)])
-    rhs = v[s.pair_indices("meet")] * v[s.pair_indices("join")]
-    mismatch = np.abs(lhs - rhs) > SEMIMULT_TOL * np.maximum(1.0, np.abs(lhs))
+    fs, meet, join = f.values[list(s.indices)], f.values[s.pair_indices("meet")], f.values[s.pair_indices("join")]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # a pair past float64 is decided by its ratio
+        lhs, rhs = np.outer(fs, fs), meet * join
+        mismatch = np.abs(lhs - rhs) > SEMIMULT_TOL * np.maximum(1.0, np.abs(lhs))
+        past = ~(np.isfinite(lhs) & np.isfinite(rhs))
+        if past.any():  # rhs / lhs, inf (a mismatch) where lhs = 0
+            ratio = float_product([(meet, True), (join, True), (fs[:, None], False), (fs[None, :], False)])
+            mismatch[past] = ~(np.abs(ratio[past] - 1.0) <= SEMIMULT_TOL)
     return not np.triu(mismatch, 1).any()

@@ -2,15 +2,15 @@
 
 Matrices are plain float64 numpy arrays (row-major).  Entries are evaluated
 in exact integer/rational arithmetic whenever the function values and all
-exponents are integral, and widened to float only at the end; otherwise they
-are computed in double precision through the shared real-power rules.
+exponents are integral, and widened to float only at the end; otherwise each
+is one product of real powers, formed on mantissas and binary exponents.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property, reduce
+from functools import cached_property
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from .incidence import (
     down_convolution,
     exact_powers,
     exact_quotient,
+    float_product,
     powers_by_value,
     real_power,
     up_convolution,
@@ -118,8 +119,7 @@ class CombinedSpec:
         union = np.unique(np.concatenate([[0], *chains]))  # with k = 0, the bottom alone
         m = combined_matrix(replace(self, subset=ElementSubset(p, union, validate=False)))
         parts = [eigen_symmetric(m[np.ix_(block, block)]) for block in (np.searchsorted(union, c) for c in chains)]
-        with np.errstate(over="ignore", invalid="ignore"):
-            products = reduce(np.multiply.outer, [part.eigenvalues for part in parts], np.ones(()))
+        products = float_product([(e, True) for e in np.ix_(*[part.eigenvalues for part in parts])])
         if not np.isfinite(products).all():
             raise SpectraError("a product of chain eigenvalues is not finite in float64")
         residual = max((part.offdiag_residual for part in parts), default=0.0)
@@ -131,7 +131,10 @@ def combined_matrix(spec: CombinedSpec) -> np.ndarray:
 
     Each factor is a power of f, taken once per distinct value and gathered
     over the member pairs' meets, joins or members; with gamma = delta the
-    upper triangle is mirrored, so the matrix is exactly symmetric.
+    upper triangle is mirrored, so the matrix is exactly symmetric.  Exact
+    mode divides Python ints once per entry; the float path is one
+    ``incidence.float_product`` of the meet, join, x_i and x_j powers, so an
+    entry in the subnormal range is rounded a second time, by its ldexp.
     """
     spec.validate()
     s, f = spec.subset, spec.f
@@ -145,54 +148,30 @@ def combined_matrix(spec: CombinedSpec) -> np.ndarray:
         (lambda: members[:, None], spec.gamma, False),
         (lambda: members[None, :], spec.delta, False),
     )
-    # Exact mode keeps a numerator and a denominator in Python ints and takes
-    # one correctly rounded int / int per entry at the end.
-    num = np.ones((n, n), dtype=object if exact else np.float64)
-    den = np.ones((n, n), dtype=object)
+    if exact:  # a numerator and a denominator in Python ints; validate leaves no zero to divide by
+        num = den = np.ones((n, n), dtype=object)
     powers = []  # the float path's (power, multiplies), in the order applied
-    with np.errstate(over="ignore", invalid="ignore"):  # as Python floats do
-        for values, exponent, multiplies in factors:
-            if exponent == 0.0:
-                continue
-            if exact:
-                top, bottom = exact_powers(values(), int(exponent))
-            else:
-                top, bottom = powers_by_value(values(), lambda v: real_power(v, exponent)), 1
-                powers.append((top, multiplies))
-            if not multiplies:
-                top, bottom = bottom, top
-            if np.any(bottom == 0):
-                raise PowerDomainError("division by a vanishing f power")
-            num = num * top
-            if exact:
-                den = den * bottom
-            else:
-                num = num / bottom
-    out = exact_quotient(num, den, "an entry of the combined matrix") if exact else _redo_overflowed(num, powers)
+    for values, exponent, multiplies in factors:
+        if exponent == 0.0:
+            continue
+        if exact:
+            top, bottom = exact_powers(values(), int(exponent))
+            num, den = (num * top, den * bottom) if multiplies else (num * bottom, den * top)
+            continue
+        power = powers_by_value(values(), lambda v: real_power(v, exponent))
+        if not multiplies and np.any(power == 0.0):  # f**exponent below float64's range
+            raise PowerDomainError("division by a vanishing f power")
+        powers.append((power, multiplies))
+    if exact:
+        out = exact_quotient(num, den, "an entry of the combined matrix")
+    else:
+        out = float_product(powers, (n, n))
+        if not np.isfinite(out).all():
+            raise ValueError("an entry of the combined matrix is past float64's range; use a smaller exponent")
     if spec.is_symmetric_case:
         lower = np.tril_indices(n, -1)
         out[lower] = out.T[lower]
     return out
-
-
-def _redo_overflowed(num: np.ndarray, powers: list) -> np.ndarray:
-    """The float path's entries, with each entry that came out non-finite
-    (a product of powers past float64 before its divisors applied) formed
-    again from the powers' mantissas and binary exponents, so that no partial
-    product overflows; raises ValueError where the entry itself is past
-    float64's range.  Every finite entry is kept as it is."""
-    bad = ~np.isfinite(num)
-    if bad.any():
-        count = int(bad.sum())
-        mantissa, exponent = np.ones(count), np.zeros(count, dtype=np.int64)
-        for power, multiplies in powers:
-            m, e = np.frexp(np.broadcast_to(power, num.shape)[bad])
-            mantissa, exponent = (mantissa * m, exponent + e) if multiplies else (mantissa / m, exponent - e)
-        with np.errstate(over="ignore"):
-            num[bad] = np.ldexp(mantissa, exponent)
-        if not np.isfinite(num).all():
-            raise ValueError("an entry of the combined matrix is past float64's range; use a smaller exponent")
-    return num
 
 
 def meet_matrix(s: ElementSubset, f: PosetFunction, alpha: float = 1.0) -> np.ndarray:
@@ -206,13 +185,13 @@ def join_matrix(s: ElementSubset, f: PosetFunction, alpha: float = 1.0) -> np.nd
 
 
 def pair_ratios(s: ElementSubset, f: PosetFunction):
-    """f(x_a meet x_b) f(x_a join x_b) / (f(x_a) f(x_b)) over the member pairs,
-    and where its denominator vanishes (the ratio there is inf or nan)."""
+    """f(x_a meet x_b) f(x_a join x_b) / f(x_a) / f(x_b) over the member pairs by
+    ``incidence.float_product`` (inf past float64), and where f(x_a) = 0 or f(x_b) = 0."""
     fs = f.values[list(s.indices)]
-    denom = np.outer(fs, fs)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        ratio = f.values[s.pair_indices("meet")] * f.values[s.pair_indices("join")] / denom
-    return ratio, denom == 0.0
+    meet, join = f.values[s.pair_indices("meet")], f.values[s.pair_indices("join")]
+    with np.errstate(divide="ignore", invalid="ignore"):  # the ratio there is inf or nan
+        ratio = float_product([(meet, True), (join, True), (fs[:, None], False), (fs[None, :], False)])
+    return ratio, (fs == 0.0)[:, None] | (fs == 0.0)[None, :]
 
 
 def g_matrix(s: ElementSubset, f: PosetFunction, exponent: float) -> np.ndarray:
@@ -334,9 +313,8 @@ class StructureFactors:
         return np.array([real_power(v, exponent) for v in self.f_values])
 
     def product(self) -> np.ndarray:
-        left = self._diag(self.left_exponent)
-        right = self._diag(self.right_exponent)
-        return left[:, None] * (self.core * self.g) * right[None, :]
+        left, right = self._diag(self.left_exponent), self._diag(self.right_exponent)
+        return float_product([(left[:, None], True), (self.core * self.g, True), (right[None, :], True)])
 
 
 def structure_meet(spec: CombinedSpec) -> StructureFactors:

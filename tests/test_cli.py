@@ -136,6 +136,15 @@ def test_float_entry_divides_before_it_overflows(capsys):
     assert abs(m[5, 5] - 6.0**200) <= 1e-12 * 6.0**200
 
 
+def test_float_entry_divides_before_it_underflows(capsys):
+    # at (6, 6), 6^-250.5 * 6^-249.5 is below float64's range, but the entry,
+    # divided by 6^-150 * 6^-150, is 6^-200
+    assert run(["build", "--poset", "chain:6", "--exp=-250.5,-249.5,-150,-150"]) == 0
+    m = latmat.parse_matrix_csv(capsys.readouterr().out)
+    assert (m != 0.0).all()
+    assert abs(m[5, 5] - 6.0**-200) <= 1e-15 * 6.0**-200
+
+
 def test_float_entry_past_float64_exits_2(capsys):
     assert run(["build", "--poset", "chain:6", "--exp=200.5,199.5,0,0"]) == 2
     captured = capsys.readouterr()
@@ -225,6 +234,14 @@ def test_bounds_input_error_is_not_inapplicable(tmp_path, capsys):
     assert "error: f vanishes at the meet of 3 and 2" in captured.err
 
 
+def test_bounds_min_fpow_past_float64_squares(tmp_path, capsys):
+    # f(2)^2 and f(3)^2 are past float64, but the least power is f(1)^2 = 1
+    func = tmp_path / "f.txt"
+    func.write_text("1 1\n2 1e160\n3 1e170\n")
+    assert run(["bounds", "--poset", "chain:3", "--func", str(func), "--exp=1,0.5,0,0", "--c", "exact"]) == 0
+    assert capsys.readouterr().out.count("min_fpow: 1\n") == 2
+
+
 def test_bounds_with_closed_form_constant(capsys):
     assert run(["bounds", "--poset", "chain:4", "--func", "N", "--exp", "1,0,0,0", "--c", "thm53"]) == 0
     out = capsys.readouterr().out
@@ -236,6 +253,26 @@ def test_region_auto(capsys):
     out = capsys.readouterr().out
     assert "contained: true" in out
     assert "side: meet" in out and "side: join" in out
+
+
+@pytest.mark.parametrize(
+    "values, twin",
+    [((1e20, 1e155, 1e155, 1e300), (1, 10, 10, 1e11)), ((1e-20, 1e-155, 1e-155, 1e-300), (1, 0.1, 0.1, 1e-11))],
+    ids=["big", "small"],
+)
+def test_region_ratio_condition_past_float64(values, twin, tmp_path, capsys):
+    # f(1) f(6) and f(2) f(3) leave float64's range (overflow, underflow) where
+    # the twin's do not; the ratio at (2, 3) is 1e10 (1e9) or 1e-10 (1e-9)
+    verdicts = []
+    for name, vals in (("f", values), ("twin", twin)):
+        func = tmp_path / f"{name}.txt"
+        func.write_text("".join(f"{x} {v!r}\n" for x, v in zip((1, 2, 3, 6), vals)))
+        code = run(["region", "--poset", "divisors:1,2,3,6", "--func", str(func), "--exp=0.5,0.5,0,0", "--C", "exact"])
+        out = capsys.readouterr().out
+        assert "f vanishes" not in out
+        verdicts.append((code, [line for line in out.splitlines() if "not applicable" in line or "contained" in line]))
+    assert verdicts[0] == verdicts[1]
+    assert len(verdicts[0][1]) == 2
 
 
 def test_region_exact_past_the_scan_cap(capsys):

@@ -294,6 +294,14 @@ def test_semimultiplicative_counterexample(divisors12):
     assert not latmat.is_semimultiplicative(f)
 
 
+def test_semimultiplicative_past_float64_decided_by_the_ratio():
+    # f(2) f(3) and f(1) f(6) both overflow; their ratio is 1e10, or 1
+    p = latmat.divisor_poset([1, 2, 3, 6])
+    assert not latmat.is_semimultiplicative(PosetFunction(p, [1e20, 1e155, 1e155, 1e300]))
+    assert not latmat.is_semimultiplicative(PosetFunction(p, [1.0, 10.0, 10.0, 1e11]))  # its scaled twin
+    assert latmat.is_semimultiplicative(PosetFunction(p, [1e20, 1e155, 1e155, 1e290]))
+
+
 def test_semimultiplicative_requires_lattice():
     p = latmat.divisor_poset([2, 3])
     f = PosetFunction.identity(p)

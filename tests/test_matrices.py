@@ -140,6 +140,24 @@ def test_float_entries_that_overflow_before_their_divisors_are_formed_again():
     assert np.allclose(m[~finite], np.exp(logs[~finite]), rtol=1e-12, atol=0)
 
 
+def test_float_entries_that_underflow_before_their_divisors_are_formed_again():
+    # the twin of the test above with every exponent negated: on some entries the
+    # product falls below float64's normal range before the divisors apply
+    p = latmat.chain_poset(6)
+    s, f = identity_subset(p)
+    a, b, g = -200.5, -199.5, -100.0
+    m = combined_matrix(CombinedSpec(a, b, g, g, s, f))
+    x = np.arange(1.0, 7.0)
+    lo, hi = np.minimum.outer(x, x), np.maximum.outer(x, x)
+    normal = lo**a * hi**b >= np.finfo(np.float64).tiny  # the later partial products are larger
+    product_first = lo**a * hi**b / x[:, None] ** g / x[None, :] ** g
+    assert not normal.all()
+    upper = np.triu(normal)  # the lower triangle is the upper one mirrored, divided in the other order
+    assert np.array_equal(m[upper], product_first[upper])  # a normal product keeps its bits
+    logs = a * np.log(lo) + b * np.log(hi) - g * np.log(x)[:, None] - g * np.log(x)[None, :]
+    assert np.allclose(m[~normal], np.exp(logs[~normal]), rtol=1e-12, atol=0)
+
+
 def test_combined_asymmetric_case(div6):
     s, f = identity_subset(div6)
     spec = CombinedSpec(1.0, 0.0, 1.0, 0.0, s, f)
