@@ -27,11 +27,12 @@ from .incidence import (
     PosetFunction,
     down_convolution,
     is_semimultiplicative,
+    pair_ratios,
     powers_by_value,
     real_power,
     up_convolution,
 )
-from .matrices import CombinedSpec, FactorizationError, closed_d, pair_ratios
+from .matrices import CombinedSpec, FactorizationError, closed_d
 from .poset import LatticeError, PosetError, divisor_poset, divisors_of
 
 REPORT_TOL = 1e-9
@@ -216,12 +217,19 @@ def _lower_bound(spec: CombinedSpec, c_value, side, a, b) -> BoundReport:
             f"violated at {conv.domain.labels[k]!r} (value {conv.values[k]})"
         )
     min_conv = float(conv.values[: len(s)].min())
-    fs, e = np.abs(spec.f.values[list(s.indices)]), 2.0 * (b - spec.gamma)
-    min_fpow = real_power(float(fs.min() if e >= 0.0 else fs.max()), e)  # monotone in |f| > 0: no larger power
+    min_fpow = _extreme_fpow(spec, b, largest=False)
     bound = c_value.value * min_conv * min_fpow
     true_kappa = float(np.abs(spec.spectrum.eigenvalues).min())
     holds = bound <= true_kappa + REPORT_TOL * max(1.0, abs(true_kappa))
     return BoundReport(side, bound, c_value, min_conv, min_fpow, true_kappa, holds)
+
+
+def _extreme_fpow(spec: CombinedSpec, b: float, largest: bool) -> float:
+    """The largest (or least) |f(x)|**(2(b - gamma)) over S: one real_power at the
+    largest or least |f| on S, as the power is monotone in |f|, rising for a
+    nonnegative exponent."""
+    fs, e = np.abs(spec.f.values[list(spec.subset.indices)]), 2.0 * (b - spec.gamma)
+    return real_power(float(fs.max() if (e >= 0.0) == largest else fs.min()), e)
 
 
 def _check_ratio_condition(spec: CombinedSpec, exponent: float) -> None:
@@ -284,26 +292,6 @@ def _ratio_within_rounding(f: PosetFunction, exponent: float) -> bool:
     )
 
 
-def _finish_region(spec: CombinedSpec, side, c_value, d, fpow_exponent) -> RegionReport:
-    fs = spec.f.values[list(spec.subset.indices)]
-    max_fpow = float(powers_by_value(np.abs(fs), lambda v: real_power(v, fpow_exponent)).max())
-    h = c_value.value * max_fpow * float(np.abs(d).max())
-    diag_exp = spec.alpha + spec.beta - 2.0 * spec.gamma
-    centers = powers_by_value(fs, lambda v: real_power(v, diag_exp))
-    radii = h - (centers if (fs >= 0.0).all() else powers_by_value(np.abs(fs), lambda v: real_power(v, diag_exp)))
-    eigs = spec.spectrum.eigenvalues
-    slack = REPORT_TOL * np.maximum(1.0, np.abs(eigs))
-    # Each radius is H - |center|, so the widest disc holds what any disc whose center has its
-    # sign holds: only the eigenvalues outside it (for f >= 0, near its rim) meet every disc.
-    widest = int(radii.argmax())
-    outside = ~(np.abs(eigs - centers[widest]) - radii[widest] <= slack)  # and every NaN
-    contained = all(
-        (np.abs(lam - centers) - radii <= tol).any() for lam, tol in zip(eigs[outside], slack[outside])
-    )
-    discs = list(zip(centers.tolist(), radii.tolist()))
-    return RegionReport(side, discs, d, h, c_value, eigs, contained)
-
-
 def region_meet_closed(spec: CombinedSpec, c_value: ConstantValue) -> RegionReport:
     """Disc-union eigenvalue region for a meet closed index set.
 
@@ -324,7 +312,8 @@ def _region(spec: CombinedSpec, c_value, side, a, b) -> RegionReport:
     """The region on either side.  d comes from ``matrices.closed_d``, with no
     incidence matrix E.  The ratio condition is proved by
     ``_ratio_within_rounding`` where its premises hold, and read off the pair
-    table of the ratios otherwise.
+    table of the ratios otherwise.  H's power of |f| is taken at the extreme
+    |f| on S, as the lower bound's min_fpow is.
     """
     try:
         d = closed_d(spec.subset, spec.f, a - b, side)
@@ -332,7 +321,21 @@ def _region(spec: CombinedSpec, c_value, side, a, b) -> RegionReport:
         raise HypothesisError(f"the {side}-side region requires a {side} closed set") from None
     if not _ratio_within_rounding(spec.f, b):
         _check_ratio_condition(spec, b)
-    return _finish_region(spec, side, c_value, d, 2.0 * (b - spec.gamma))
+    h = c_value.value * _extreme_fpow(spec, b, largest=True) * float(np.abs(d).max())
+    diag_exp = spec.alpha + spec.beta - 2.0 * spec.gamma
+    centers = powers_by_value(spec.f.values[list(spec.subset.indices)], lambda v: real_power(v, diag_exp))
+    radii = h - np.abs(centers)  # |f**k| = |f|**k: float ** negates |f|**k for a negative f
+    eigs = spec.spectrum.eigenvalues
+    slack = REPORT_TOL * np.maximum(1.0, np.abs(eigs))
+    # Each radius is H - |center|, so the widest disc holds what any disc whose center has its
+    # sign holds: only the eigenvalues outside it (for f >= 0, near its rim) meet every disc.
+    widest = int(radii.argmax())
+    outside = ~(np.abs(eigs - centers[widest]) - radii[widest] <= slack)  # and every NaN
+    contained = all(
+        (np.abs(lam - centers) - radii <= tol).any() for lam, tol in zip(eigs[outside], slack[outside])
+    )
+    discs = list(zip(centers.tolist(), radii.tolist()))
+    return RegionReport(side, discs, d, h, c_value, eigs, contained)
 
 
 def interval_from_discs(report: RegionReport):

@@ -435,13 +435,7 @@ def cn_lower_bound_from_n0(n: int) -> float:
     (48/(n^4+56n^2+48n))**((n-1)/2) for even n,
     (48/(n^4+50n^2+48n-51))**((n-1)/2) for odd n.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if n % 2 == 0:
-        denom = n**4 + 56 * n**2 + 48 * n
-    else:
-        denom = n**4 + 50 * n**2 + 48 * n - 51
-    return (48.0 / denom) ** ((n - 1) / 2.0)
+    return (48.0 / _n0_quartic(n)) ** ((n - 1) / 2.0)
 
 
 def y0_matrix(n: int) -> np.ndarray:
@@ -472,13 +466,14 @@ def n0_frobenius(n: int) -> float:
 def n0_frobenius_closed_form(n: int) -> float:
     """Closed form of the same norm: sqrt((n^4+56n^2+48n)/48) for even n,
     sqrt((n^4+50n^2+48n-51)/48) for odd n."""
+    return math.sqrt(_n0_quartic(n) / 48.0)
+
+
+def _n0_quartic(n: int) -> int:
+    """48 ||N0||_F^2: n^4+56n^2+48n for even n, n^4+50n^2+48n-51 for odd n."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    if n % 2 == 0:
-        num = n**4 + 56 * n**2 + 48 * n
-    else:
-        num = n**4 + 50 * n**2 + 48 * n - 51
-    return math.sqrt(num / 48.0)
+    return n**4 + 56 * n**2 + 48 * n if n % 2 == 0 else n**4 + 50 * n**2 + 48 * n - 51
 
 
 @dataclass(frozen=True)

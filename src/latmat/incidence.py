@@ -216,6 +216,16 @@ def float_product(factors, shape=()) -> np.ndarray:
         return np.ldexp(mantissa, exponent)
 
 
+def pair_ratios(s: ElementSubset, f: PosetFunction):
+    """f(x_a meet x_b) f(x_a join x_b) / f(x_a) / f(x_b) over the member pairs by
+    ``float_product`` (inf past float64), and where f(x_a) = 0 or f(x_b) = 0."""
+    fs = f.values[list(s.indices)]
+    meet, join = f.values[s.pair_indices("meet")], f.values[s.pair_indices("join")]
+    with np.errstate(divide="ignore", invalid="ignore"):  # the ratio there is inf or nan
+        ratio = float_product([(meet, True), (join, True), (fs[:, None], False), (fs[None, :], False)])
+    return ratio, (fs == 0.0)[:, None] | (fs == 0.0)[None, :]
+
+
 def down_convolution(f: PosetFunction, alpha: float, s: ElementSubset) -> ConvolutionVector:
     """The g on the order ideal of S whose sum over w <= x is f(x)**alpha:
     g(w) is the sum of f(z)**alpha * mu(z, w) over z below w."""
@@ -257,10 +267,10 @@ def _convolution(direction: str, f: PosetFunction, alpha: float, domain) -> Conv
         for j, step in enumerate((-1 if direction == "down" else 1) * chains.strides):
             has = np.flatnonzero(exponents[:, j] > 0 if direction == "down" else exponents[:, j] < chains.e[j])
             g[has] -= g[position[chains.index[code[has] + step]]]
-    else:  # forward substitution along a linear extension of the domain
-        leq = p._leq.T if direction == "down" else p._leq
+    else:  # forward substitution along a linear extension of the domain, on its block of the relation
         where = np.argsort(idx)[:: -1 if direction == "up" else 1]  # domain positions, extension order
-        below = leq[idx[where]][:, idx[where]]  # below[k, j]: the j-th is below the k-th
+        block = p._block(idx[where], idx[where])
+        below = block.T if direction == "down" else block  # below[k, j]: the j-th is below the k-th
         np.fill_diagonal(below, False)
         solved = g[where]
         for k, row in enumerate(below):
@@ -285,6 +295,5 @@ def is_semimultiplicative(f: PosetFunction, s: ElementSubset | None = None) -> b
         mismatch = np.abs(lhs - rhs) > SEMIMULT_TOL * np.maximum(1.0, np.abs(lhs))
         past = ~(np.isfinite(lhs) & np.isfinite(rhs))
         if past.any():  # rhs / lhs, inf (a mismatch) where lhs = 0
-            ratio = float_product([(meet, True), (join, True), (fs[:, None], False), (fs[None, :], False)])
-            mismatch[past] = ~(np.abs(ratio[past] - 1.0) <= SEMIMULT_TOL)
+            mismatch[past] = ~(np.abs(pair_ratios(s, f)[0][past] - 1.0) <= SEMIMULT_TOL)
     return not np.triu(mismatch, 1).any()

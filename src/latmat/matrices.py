@@ -21,6 +21,7 @@ from .incidence import (
     exact_powers,
     exact_quotient,
     float_product,
+    pair_ratios,
     powers_by_value,
     real_power,
     up_convolution,
@@ -184,16 +185,6 @@ def join_matrix(s: ElementSubset, f: PosetFunction, alpha: float = 1.0) -> np.nd
     return combined_matrix(CombinedSpec(0.0, float(alpha), 0.0, 0.0, s, f))
 
 
-def pair_ratios(s: ElementSubset, f: PosetFunction):
-    """f(x_a meet x_b) f(x_a join x_b) / f(x_a) / f(x_b) over the member pairs by
-    ``incidence.float_product`` (inf past float64), and where f(x_a) = 0 or f(x_b) = 0."""
-    fs = f.values[list(s.indices)]
-    meet, join = f.values[s.pair_indices("meet")], f.values[s.pair_indices("join")]
-    with np.errstate(divide="ignore", invalid="ignore"):  # the ratio there is inf or nan
-        ratio = float_product([(meet, True), (join, True), (fs[:, None], False), (fs[None, :], False)])
-    return ratio, (fs == 0.0)[:, None] | (fs == 0.0)[None, :]
-
-
 def g_matrix(s: ElementSubset, f: PosetFunction, exponent: float) -> np.ndarray:
     """Comparability-masked power-ratio matrix used by the structure theorems.
 
@@ -310,7 +301,7 @@ class StructureFactors:
     g: np.ndarray
 
     def _diag(self, exponent: float) -> np.ndarray:
-        return np.array([real_power(v, exponent) for v in self.f_values])
+        return powers_by_value(self.f_values, lambda v: real_power(v, exponent))
 
     def product(self) -> np.ndarray:
         left, right = self._diag(self.left_exponent), self._diag(self.right_exponent)
@@ -338,10 +329,9 @@ def _structure(spec: CombinedSpec, core_matrix, a: float, b: float) -> Structure
     """The meet-oriented form for (alpha, beta) = (a, b); the join side passes its dual."""
     spec.validate()
     s = spec.subset
-    fvals = np.array([spec.f.value_at(i) for i in s.indices])
     core = core_matrix(s, spec.f, a - b)
     g = g_matrix(s, spec.f, b)
-    return StructureFactors(fvals, b - spec.gamma, b - spec.delta, core, g)
+    return StructureFactors(spec.f.values[list(s.indices)], b - spec.gamma, b - spec.delta, core, g)
 
 
 def ideal_block_split(spec: CombinedSpec):

@@ -163,6 +163,21 @@ def test_chain_pair_tables_are_gcd_and_lcm(labels):
     assert "_leq" not in vars(p)
 
 
+@pytest.mark.parametrize("direction", ["down", "up"])
+def test_substitution_convolutions_read_only_their_domain_block(direction):
+    # {2d : d | 720} has no 1, so no chains: its convolutions take the forward substitution
+    p = latmat.divisor_poset([2 * d for d in latmat.divisors_of(720)])
+    assert p._chains is None
+    labels = p.elements[:6] if direction == "down" else p.elements[-6:]
+    conv = incidence.down_convolution if direction == "down" else incidence.up_convolution
+    got = conv(PosetFunction.identity(p), 1.0, p.subset(labels))
+    assert "_leq" not in vars(p)
+    q = Poset(p.elements, p.leq_matrix, _validate=False)  # the relation route
+    want = conv(PosetFunction.identity(q), 1.0, q.subset(labels))
+    assert got.domain.labels == want.domain.labels
+    assert got.values.tobytes() == want.values.tobytes()
+
+
 def test_covers_copy_of_divisors_of_12_matches_the_label_route():
     p = latmat.divisor_poset(latmat.divisors_of(12))
     q = latmat.parse_poset(latmat.format_poset(p))
@@ -252,6 +267,23 @@ def test_region_discs_match_the_loop(m, alpha, beta):
         cval = bounds.ConstantValue(scale * tn, "user")
         for region, b in ((bounds.region_meet_closed, beta), (bounds.region_join_closed, alpha)):
             report = region(spec, cval)
+            _assert_region_is_the_loop(spec, report, cval, b)
+            verdicts.add(report.contained)
+    assert verdicts == {False, True}
+
+
+@pytest.mark.parametrize("alpha, beta", [(1.0, 0.0), (2.0, 1.0)])
+def test_region_negative_centers_match_the_loop(alpha, beta):
+    # f = 1, -2, -3, 6 is semimultiplicative on the divisors of 6, and alpha + beta is
+    # integral, so centers of both signs, whose radii are H - |center|
+    p = latmat.divisor_poset([1, 2, 3, 6])
+    spec = CombinedSpec(alpha, beta, 0.0, 0.0, p.subset(p.elements), PosetFunction(p, [1.0, -2.0, -3.0, 6.0]))
+    verdicts = set()
+    for scale in np.geomspace(1e-3, 1.0, 7):
+        cval = bounds.ConstantValue(scale * latmat.t_n(4), "user")
+        for region, b in ((bounds.region_meet_closed, beta), (bounds.region_join_closed, alpha)):
+            report = region(spec, cval)
+            assert min(center for center, _ in report.discs) < 0.0
             _assert_region_is_the_loop(spec, report, cval, b)
             verdicts.add(report.contained)
     assert verdicts == {False, True}
