@@ -31,17 +31,19 @@ Python ints, so no float decides which masks are left:
   evaluates only those columns again.
 * G0 = Y0^T Y0, with Y0 = y0^-1, and v = G0^2 1 (two power steps from the
   all-ones vector, each shifted to about 64 bits) give the Rayleigh quotient
-  v^T G0 v / v^T v <= lambda_max(G0) = 1 / kappa(y0).  A prefix is pruned iff
+  v^T G0 v / v^T v <= lambda_max(G0) = 1 / kappa(y0).  G0 is never formed:
+  G0 w and v^T G0 v = ||y0^-1 v||^2 take O(n) substitutions with y0 (see
+  ``_y0_solve``).  A prefix is pruned iff
   bound * v^T v < v^T G0 v; then every mask below it has
   lambda_min(X X^T) >= 1 / bound > v^T v / v^T G0 v >= kappa(y0).  A poor v
   prunes less, but cannot make the proof wrong.  y0 is never pruned: along
   its path every bound is at least ||Y0||_F^2 = trace(G0) >= lambda_max(G0).
 
 c_n is then the smallest value among the survivors, the smallest mask
-winning a tie.  Every value comes from one route, that of ``kappa_y0``:
-1 / lambda_max(Y^T Y), with Y^T Y formed in ints; y0's Y^T Y is the G0 of
-the proof, so y0 is not inverted again.  The search visits n^2 - 1
-prefixes (24 at n = 4) and keeps y0 alone, or y0 and mask 51 at n = 4.
+winning a tie.  y0's value is ``kappa_y0``, correctly rounded from an
+integer bracket; any other survivor's is ``mask_value``, a Jacobi solve of
+Y^T Y.  The search visits n^2 - 1 prefixes (24 at n = 4) and keeps y0
+alone, or y0 and mask 51 at n = 4.
 ``search_Cn`` maximizes the largest eigenvalue, which the all-ones mask
 attains, so it is the closed form of the MIN matrix's largest eigenvalue
 and needs no scan or solve.
@@ -58,10 +60,11 @@ from typing import NamedTuple
 import numpy as np
 
 from ._kernels import mask_to_matrix, tri_positions
-from .spectra import eigen_symmetric
+from .spectra import SpectraError, eigen_symmetric
 
 DEFAULT_MAX_N = 8  # enumerate_kn's cap: 2^28 masks
 CERTIFY_MAX_N = 60  # the certified search takes about 0.1 s there
+BRACKET_MAX_STEPS = 64  # kappa(y0)'s bracket closes in 20 steps at n = 2, fewer above
 
 
 @dataclass(frozen=True)
@@ -123,22 +126,17 @@ def _inverse(x) -> np.ndarray:
     return inv
 
 
-def _gram_value(g) -> float:
-    """lambda_min(X X^T) as 1 / lambda_max(Y^T Y), from g = Y^T Y in Python
-    ints, with Y = X^-1.
-
-    (X X^T)^-1 = Y^T Y is formed exactly and rounded once per entry, and its
-    largest eigenvalue has a small relative error; the smallest eigenvalue of
-    X X^T itself drowns in rounding as n grows.  Raises SpectraError (a
-    ValueError) where an entry or the eigenvalue overflows float64.
-    """
-    return 1.0 / eigen_symmetric(g).max
-
-
 def mask_value(n: int, bits: int) -> float:
-    """lambda_min(X X^T) of a K(n) mask, by the route every c_n value takes."""
+    """lambda_min(X X^T) of a K(n) mask as 1 / lambda_max(Y^T Y), Y = X^-1.
+
+    (X X^T)^-1 = Y^T Y is formed in Python ints and rounded once per entry,
+    and its largest eigenvalue has a small relative error; the smallest
+    eigenvalue of X X^T itself drowns in rounding as n grows.  Raises
+    SpectraError (a ValueError) where an entry or the eigenvalue overflows
+    float64.
+    """
     inv = _inverse(mask_to_matrix(n, bits))
-    return _gram_value(inv.T @ inv)
+    return 1.0 / eigen_symmetric(inv.T @ inv).max
 
 
 # -- certified search -----------------------------------------------------------
@@ -275,15 +273,29 @@ def _children(n: int, node: _Prefix) -> list:
     ]
 
 
-def _top_vector(g0) -> np.ndarray:
+def _y0_solve(w, sign: int = -1) -> list:
+    """y0^-1 w in Python ints, or (D y0 D)^-1 w for sign = 1, with D =
+    diag((-1)^i): a forward substitution in O(n).  y0's ones below the
+    diagonal sit where i + j is odd, so z_i = w_i + sign * (the sum of the
+    z_j with j < i of the other parity).  The reversed order keeps that
+    pattern, so y0^-T u is _y0_solve(u[::-1])[::-1], and G0 = y0^-T y0^-1."""
+    sums, z = [0, 0], []
+    for i, x in enumerate(w):
+        x += sign * sums[1 - i % 2]
+        sums[i % 2] += x
+        z.append(x)
+    return z
+
+
+def _top_vector(n: int) -> list:
     """Two power steps on G0 from the all-ones vector, in Python ints, each
     shifted right to keep about 64 bits."""
-    v = np.ones(g0.shape[0], dtype=object)
+    v = [1] * n
     for _ in range(2):
-        v = g0.dot(v)
+        v = _y0_solve(_y0_solve(v)[::-1])[::-1]
         shift = max(abs(x).bit_length() for x in v) - 64
         if shift > 0:
-            v = v >> shift
+            v = [x >> shift for x in v]
     return v
 
 
@@ -315,16 +327,10 @@ def certify_cn(n: int, cap: int | None = None) -> Certificate:
     A depth-first search with an explicit stack over the bits of X, row by
     row; see the module docstring for the bound and the pruning rule.
     """
-    return _certify(n, cap)[0]
-
-
-def _certify(n: int, cap: int | None):
-    """certify_cn(n, cap), and the G0 its proof rests on."""
     why = "its time grows about as n**4; waive it with cap= or `latmat search --i-know`"
     _check_n(n, CERTIFY_MAX_N if cap is None else cap, "search", why)
-    g0 = _y0_gram(n)
-    v = _top_vector(g0)
-    num, den = int(v.dot(g0.dot(v))), int(v.dot(v))
+    v = _top_vector(n)
+    num, den = sum(z * z for z in _y0_solve(v)), sum(x * x for x in v)
     survivors, nodes, stack = [], 0, [_root(n)]
     while stack:
         node = stack.pop()
@@ -335,16 +341,14 @@ def _certify(n: int, cap: int | None):
         stack.extend(children)
         if not children:
             survivors.append(node.bits)
-    return Certificate(n, tuple(sorted(survivors)), num, den, nodes), g0
+    return Certificate(n, tuple(sorted(survivors)), num, den, nodes)
 
 
 def _certified(n: int, cap: int | None = None):
-    """certify_cn(n), and each survivor's value.  y0, which always survives,
-    is valued from the G0 of the proof, the Y^T Y that ``mask_value`` would
-    form again."""
-    cert, g0 = _certify(n, cap)
+    """certify_cn(n), and each survivor's value: ``kappa_y0`` or ``mask_value``."""
+    cert = certify_cn(n, cap)
     y0 = y0_mask(n).bits
-    return cert, {mask: _gram_value(g0) if mask == y0 else mask_value(n, mask) for mask in cert.survivors}
+    return cert, {mask: kappa_y0(n) if mask == y0 else mask_value(n, mask) for mask in cert.survivors}
 
 
 def _least(n: int, values: dict) -> SearchResult:
@@ -459,7 +463,8 @@ def y0_mask(n: int) -> TriangularMask:
 def n0_frobenius(n: int) -> float:
     """Frobenius norm of the conjectured extremal Gram matrix, computed
     directly in integer arithmetic."""
-    g = y0_mask(n).gram()
+    y = y0_matrix(n)
+    g = y @ y.T
     return math.sqrt(int((g * g).sum()))
 
 
@@ -491,21 +496,52 @@ def y0_inverse(n: int) -> np.ndarray:
     return _inverse(y0_matrix(n))
 
 
-def _y0_gram(n: int) -> np.ndarray:
-    """G0 = Y0^T Y0 in Python ints, with Y0 = y0^-1."""
-    inv = y0_inverse(n)
-    return inv.T @ inv
+def _kappa_bracket(n: int):
+    """((p, q), (r, s)) with p / q <= kappa(y0) <= r / s, in Python ints,
+    both ends rounding to one float.
+
+    Let D = diag((-1)^i).  D y0 D = I - N with N >= 0 strictly lower
+    triangular, so (D y0 D)^-1 = I + N + N^2 + ... >= 0, and A = D G0 D =
+    (D y0 D)^-T (D y0 D)^-1 >= 0 entrywise, with a positive diagonal.  A and
+    G0 share their eigenvalues, so for any integer w > 0, by Collatz-Wielandt
+    (Horn & Johnson, Matrix Analysis, 2nd ed., section 8.1),
+    w^T A w / w^T w <= lambda_max(G0) = 1 / kappa(y0) <= max_i (Aw)_i / w_i.
+    Power steps w <- Aw from w = 1 narrow both ends; each is shifted right
+    to keep at least 96 bits in the smallest entry, so w stays positive.
+    Raises SpectraError if the ends still round apart after
+    BRACKET_MAX_STEPS steps.
+    """
+    w = [1] * n
+    for _ in range(BRACKET_MAX_STEPS):
+        m = _y0_solve(w, 1)
+        aw = _y0_solve(m[::-1], 1)[::-1]
+        top = 0
+        for i in range(1, n):
+            if aw[i] * w[top] > aw[top] * w[i]:
+                top = i
+        lo, hi = (w[top], aw[top]), (sum(x * x for x in w), sum(x * x for x in m))
+        if lo[0] / lo[1] == hi[0] / hi[1]:
+            return lo, hi
+        shift = min(x.bit_length() for x in aw) - 96
+        w = [x >> shift for x in aw] if shift > 0 else aw
+    raise SpectraError(f"kappa(y0)'s bracket did not close in {BRACKET_MAX_STEPS} steps at n={n}")
 
 
 def kappa_y0(n: int) -> float:
     """Smallest eigenvalue of the conjectured extremal Gram matrix y0 y0^T,
-    as 1 / lambda_max(Y0^T Y0) with Y0 = y0^-1 (``_gram_value``).
+    correctly rounded: rounding is monotone, so it is the float that both
+    ends of ``_kappa_bracket`` round to.  y0 is never inverted, nor G0 formed.
 
     A direct solve of y0 y0^T drowns in rounding as n grows: it gives
-    -4.8e-16 at n = 60, against 4.17e-25.  Raises SpectraError (a
-    ValueError) where Y0^T Y0 or its largest eigenvalue overflows float64.
+    -4.8e-16 at n = 60, against 4.17e-25.  Raises a plain ValueError where
+    1 / kappa(y0) is past float64.
     """
-    return _gram_value(_y0_gram(n))
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    (p, q), (r, s) = _kappa_bracket(n)
+    if s >= r << 1024:  # 1 / kappa(y0) >= s / r >= 2**1024
+        raise ValueError(f"1 / kappa(y0) overflows float64 at n={n}")
+    return p / q
 
 
 def verify_conjecture(n: int) -> ConjectureCheck:

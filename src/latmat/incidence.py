@@ -282,18 +282,22 @@ def _convolution(direction: str, f: PosetFunction, alpha: float, domain) -> Conv
 
 def is_semimultiplicative(f: PosetFunction, s: ElementSubset | None = None) -> bool:
     """Check f(x)f(y) = f(meet)f(join) for every pair of members of s (default:
-    every element of f's poset), to the relative tolerance SEMIMULT_TOL: a pair whose
-    products pass float64 by |f(meet)f(join) / f(x) / f(y) - 1|, the same test where
-    |f(x)f(y)| >= 1.  A pair without a unique meet or join raises LatticeError."""
+    every element of f's poset), to the relative tolerance SEMIMULT_TOL at any scale of
+    f: |f(x)f(y) - f(meet)f(join)| <= SEMIMULT_TOL |f(x)f(y)|, or, for a pair with
+    f(x)f(y) != 0 whose products leave float64's normal range,
+    |f(meet)f(join) / f(x) / f(y) - 1| <= SEMIMULT_TOL.  A pair without a unique meet
+    or join raises LatticeError."""
     if s is None:
         s = ElementSubset(f.parent, range(len(f.parent)), validate=False)
     if s.parent is not f.parent:
         raise ValueError("function and subset live on different posets")
     fs, meet, join = f.values[list(s.indices)], f.values[s.pair_indices("meet")], f.values[s.pair_indices("join")]
+    nonzero, tiny = np.abs(f.values[f.values != 0.0]), np.finfo(np.float64).tiny
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # a pair past float64 is decided by its ratio
         lhs, rhs = np.outer(fs, fs), meet * join
-        mismatch = np.abs(lhs - rhs) > SEMIMULT_TOL * np.maximum(1.0, np.abs(lhs))
-        past = ~(np.isfinite(lhs) & np.isfinite(rhs))
-        if past.any():  # rhs / lhs, inf (a mismatch) where lhs = 0
+        mismatch = np.abs(lhs - rhs) > SEMIMULT_TOL * np.abs(lhs)
+        if nonzero.size and not tiny <= nonzero.min() ** 2 <= nonzero.max() ** 2 < np.inf:
+            small = np.minimum(np.abs(lhs), np.abs(rhs)) < tiny
+            past = ~(np.isfinite(lhs) & np.isfinite(rhs)) | small & np.outer(fs != 0.0, fs != 0.0)
             mismatch[past] = ~(np.abs(pair_ratios(s, f)[0][past] - 1.0) <= SEMIMULT_TOL)
     return not np.triu(mismatch, 1).any()

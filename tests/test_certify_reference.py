@@ -1,10 +1,12 @@
 """The certified search against a reference: the same depth-first search with
 the bound evaluated afresh on every prefix, each interval end through
-``max()``, and the children built by ``NamedTuple._replace``.  The search
-carries each column's term of the bound from parent to child and recomputes
-only the columns a decision changes; it must return the same certificate
-bit for bit, visit the same prefixes in the same order, and bound each by
-the same integer.
+``max()``, and the children built by ``NamedTuple._replace``, on a vector
+and a Rayleigh quotient from the G0 formed from y0^-1.  The search carries
+each column's term of the bound from parent to child and recomputes only the
+columns a decision changes, and takes its products with G0 by O(n)
+substitutions with y0; it must return the same certificate bit for bit,
+visit the same prefixes in the same order, and bound each by the same
+integer.
 """
 
 from typing import NamedTuple
@@ -100,12 +102,29 @@ def reference_children(n: int, node: _Prefix) -> list:
     ]
 
 
-def reference_certify_cn(n: int) -> Certificate:
-    """The search loop of ``certify_cn``, with the vector looked up on the
-    module at call time, as ``certify_cn`` does."""
+def reference_top_vector(g0) -> np.ndarray:
+    """Two power steps on G0 from the all-ones vector, in Python ints, each
+    shifted right to keep about 64 bits."""
+    v = np.ones(g0.shape[0], dtype=object)
+    for _ in range(2):
+        v = g0.dot(v)
+        shift = max(abs(x).bit_length() for x in v) - 64
+        if shift > 0:
+            v = v >> shift
+    return v
+
+
+def reference_g0(n: int) -> np.ndarray:
+    """G0 = Y0^T Y0, formed from y0^-1 as an object-array product."""
     y0 = y0_inverse(n)
-    g0 = y0.T @ y0
-    v = constants._top_vector(g0)
+    return y0.T @ y0
+
+
+def reference_certify_cn(n: int, vector=None) -> Certificate:
+    """The search loop of ``certify_cn``, on the G0 formed from y0^-1:
+    v from ``reference_top_vector``, or vector(n), and num = v^T G0 v."""
+    g0 = reference_g0(n)
+    v = reference_top_vector(g0) if vector is None else np.array(vector(n), dtype=object)
     num, den = int(v.dot(g0.dot(v))), int(v.dot(v))
     survivors, nodes, stack = [], 0, [reference_root(n)]
     while stack:
@@ -125,8 +144,8 @@ def reference_certify_cn(n: int) -> Certificate:
 POOR_VECTORS = pytest.mark.parametrize(
     "vector",
     [
-        lambda g0: np.zeros(g0.shape[0], dtype=object),  # prunes nothing
-        lambda g0: np.eye(g0.shape[0], dtype=object)[0],  # far from the top
+        lambda n: [0] * n,  # prunes nothing
+        lambda n: [1] + [0] * (n - 1),  # far from the top
     ],
     ids=["zero", "first-unit"],
 )
@@ -141,7 +160,20 @@ def test_certificate_matches_the_reference(n, cap):
 def test_certificate_matches_the_reference_under_a_poor_vector(monkeypatch, vector):
     monkeypatch.setattr(constants, "_top_vector", vector)
     for n in range(1, 6):
-        assert constants.certify_cn(n) == reference_certify_cn(n), n
+        assert constants.certify_cn(n) == reference_certify_cn(n, vector), n
+
+
+def test_solves_with_y0_match_the_matrix_route():
+    # y0^-1 w and (D y0 D)^-1 w by O(n) substitutions, D = diag((-1)^i), and
+    # the vector they give, against object-array products with y0^-1 and G0
+    rng = np.random.default_rng(5)
+    for n in (*range(1, 13), 20, 41, 61):
+        d = np.array([(-1) ** i for i in range(n)], dtype=object)
+        assert constants._top_vector(n) == reference_top_vector(reference_g0(n)).tolist(), n
+        for _ in range(3):
+            w = [int(x) for x in rng.integers(-(2**40), 2**40, n)]
+            assert constants._y0_solve(w) == y0_inverse(n).dot(w).tolist(), n
+            assert constants._y0_solve(w, 1) == (d * y0_inverse(n).dot(d * w)).tolist(), n
 
 
 def _lockstep(n, num, den):

@@ -234,6 +234,17 @@ def test_bounds_input_error_is_not_inapplicable(tmp_path, capsys):
     assert "error: f vanishes at the meet of 3 and 2" in captured.err
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-6])
+def test_bounds_semimultiplicativity_is_relative(scale, tmp_path, capsys):
+    # f(2) f(3) is ten times f(1) f(6) at any scale of f: neither side applies
+    func = tmp_path / "f.txt"
+    func.write_text("".join(f"{x} {v * scale!r}\n" for x, v in ((1, 1), (2, 2), (3, 3), (6, 60))))
+    code = run(["bounds", "--poset", "divisors:1,2,3,6", "--func", str(func), "--exp=1,0,0,0", "--c", "exact"])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert out.count("not applicable: the lower bound requires a semimultiplicative f") == 2
+
+
 def test_bounds_min_fpow_past_float64_squares(tmp_path, capsys):
     # f(2)^2 and f(3)^2 are past float64, but the least power is f(1)^2 = 1
     func = tmp_path / "f.txt"
@@ -328,6 +339,14 @@ def test_constants_command_kappa_y0_positive_at_60(capsys):
     assert run(["constants", "--n", "60"]) == 0
     fields = dict(line.split(": ") for line in capsys.readouterr().out.splitlines())
     assert 0.0 < float(fields["kappa_y0"]) < 1e-24
+
+
+def test_constants_command_past_float64_exits_2(capsys):
+    # 1 / kappa(y0) passes float64 from n = 740; nothing is printed
+    assert run(["constants", "--n", "800"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: 1 / kappa(y0) overflows float64 at n=800" in captured.err
 
 
 def test_search_command_with_ledger(tmp_path, capsys):

@@ -170,32 +170,48 @@ def test_y0_inverse_norm_is_phi_n():
         assert sum(v * v for v in inv.flat) == n + fib[n] ** 2 - n % 2, n
 
 
-# lambda_min(y0 y0^T) to 25 digits, from mpmath's eigsy on the integer Gram
-# matrix at 80 and at 120 decimal digits (the two agree)
+# lambda_min(y0 y0^T) to 30 digits, from mpmath's eigsy on the integer Gram
+# matrix Y0^T Y0 at 60 and at 90 decimal digits (the two agree)
 KAPPA_Y0_DIGITS = {
-    20: 2.185064723447486065460093e-8,
-    40: 9.549019590715399194242181e-17,
-    60: 4.173046022281981835402168e-25,
+    6: "0.0148275852464722640113909387536",
+    11: "0.000126171532517345173040128908597",
+    20: "2.18506472344748606546009312795e-8",
+    40: "9.54901959071539919424218096834e-17",
+    60: "4.17304602228198183540216832502e-25",
 }
 
 
 def test_kappa_y0_reference_digits():
+    # the bracket's float is the correctly rounded value; Jacobi on G0 gave
+    # 0.014827585246472258 at n = 6 and was 4e-15 off at n = 11
     for n, want in KAPPA_Y0_DIGITS.items():
-        # kappa_y0 is 1 / lambda_max of a matrix whose Frobenius norm is at
-        # most sqrt(n) lambda_max: the stopping rule by Weyl's inequality,
-        # plus rounding over at most 50 sweeps, bounds its relative error
-        rtol = (1e-12 + 50 * n * np.finfo(np.float64).eps) * math.sqrt(n)
-        assert abs(latmat.kappa_y0(n) - want) <= rtol * want, n
+        assert latmat.kappa_y0(n) == float(want), n
 
 
-def test_kappa_y0_overflow_raises(monkeypatch):
-    # entries past float64 (2**1200), or a largest eigenvalue past it
-    # (9 * 2**1022, from the entries 3 * 2**1022 of a rank-one 3 x 3
-    # matrix), raise rather than return 0
-    for big in ([[2**600, 0], [0, 1]], [[2**511] * 3] * 3):
-        monkeypatch.setattr(constants, "y0_inverse", lambda n, big=big: np.array(big, dtype=object))
-        with pytest.raises(ValueError, match="overflows float64"):
-            latmat.kappa_y0(2)
+def test_kappa_y0_bracket_ends_round_to_the_value():
+    for n in range(1, 201):
+        (p, q), (r, s) = constants._kappa_bracket(n)
+        assert 0 < p * s <= r * q, n  # p / q <= r / s
+        assert p / q == r / s == latmat.kappa_y0(n), n
+
+
+def test_kappa_y0_bracket_step_cap_raises(monkeypatch):
+    # n = 2 needs 20 power steps; one step leaves the ends apart
+    monkeypatch.setattr(constants, "BRACKET_MAX_STEPS", 1)
+    with pytest.raises(latmat.SpectraError, match="did not close in 1 steps at n=2"):
+        latmat.kappa_y0(2)
+    assert latmat.kappa_y0(1) == 1.0  # G0 = [1]: the ends meet at once
+
+
+def test_kappa_y0_overflow_raises():
+    # 1 / kappa(y0) passes float64 first at n = 740: a plain ValueError, the
+    # CLI's exit 2, not a SpectraError; at n = 739 kappa(y0) is subnormal
+    with pytest.raises(ValueError, match="overflows float64 at n=740") as exc:
+        latmat.kappa_y0(740)
+    assert not isinstance(exc.value, latmat.SpectraError)
+    assert 0.0 < latmat.kappa_y0(739) < np.finfo(np.float64).tiny
+    with pytest.raises(ValueError, match="at least 1"):
+        latmat.kappa_y0(0)
 
 
 def test_verify_conjecture_trivial_and_small():
@@ -265,20 +281,33 @@ def test_Cn_runs_no_solver(monkeypatch):
         latmat.search_Cn(0)
 
 
+def _count_solves_and_inverses(monkeypatch):
+    """Count the Jacobi solves and the matrix inverses of `constants`."""
+    solved, inverted = [], []
+    solve, inverse = latmat.spectra.jacobi_eigenvalues, constants._inverse
+    monkeypatch.setattr(latmat.spectra, "jacobi_eigenvalues", lambda a, *args: solved.append(1) or solve(a, *args))
+    monkeypatch.setattr(constants, "_inverse", lambda x: inverted.append(1) or inverse(x))
+    return solved, inverted
+
+
 def test_full_scan_solves_only_y0(monkeypatch):
-    solved = []
-    solve = latmat.spectra.jacobi_eigenvalues
-
-    def record(a, *args):
-        solved.append(np.array(a))
-        return solve(a, *args)
-
-    monkeypatch.setattr(latmat.spectra, "jacobi_eigenvalues", record)
+    # y0, the one survivor, is valued by its bracket: no solve, no inverse
+    solved, inverted = _count_solves_and_inverses(monkeypatch)
     rmin, rmax = latmat.full_scan(6)
-    inv = constants.y0_inverse(6)
-    assert len(solved) == 1
-    assert np.array_equal(solved[0], (inv.T @ inv).astype(np.float64))  # y0's value route
+    assert len(solved) == len(inverted) == 0
+    assert rmin.value == latmat.kappa_y0(6)
     assert rmin.witness.bits == 22189 and rmax.witness.bits == (1 << 15) - 1
+
+
+def test_y0_is_valued_with_no_solve_and_no_inverse(monkeypatch):
+    # only mask 51 at n = 4, the one other survivor, takes a solve
+    solved, inverted = _count_solves_and_inverses(monkeypatch)
+    for n in (*range(1, 13), 20, 40, 60):
+        for run in (latmat.search_cn, latmat.verify_conjecture):
+            solved.clear()
+            inverted.clear()
+            run(n)
+            assert len(solved) == len(inverted) == (1 if n == 4 else 0), (n, run)
 
 
 def test_C6_is_correctly_rounded():
@@ -349,18 +378,18 @@ def test_certified_witness_bits_and_values():
         assert r.value == latmat.kappa_y0(n)
         jacobi = float(latmat._kernels.gram_eigenvalues(n, bits)[0])
         assert abs(r.value - jacobi) <= 1e-13 * jacobi, n
-    assert latmat.search_cn(6).value == 0.014827585246472258  # perfbench's pinned c_6
+    assert latmat.search_cn(6).value == 0.014827585246472264  # correctly rounded c_6
 
 
 def test_search_values_y0_from_the_certificates_g0(monkeypatch):
-    # y0 is valued from the G0 of the proof, so one search inverts y0 once
-    # and inverts again only for another survivor (mask 51 at n = 4)
+    # y0 is valued by its bracket, so a search inverts nothing but another
+    # survivor (mask 51 at n = 4)
     inverse, calls = constants._inverse, []
     monkeypatch.setattr(constants, "_inverse", lambda x: calls.append(1) or inverse(x))
     for n in (*range(1, 13), 20, 40, 60):
         calls.clear()
         r = latmat.search_cn(n)
-        assert len(calls) == (2 if n == 4 else 1), n
+        assert len(calls) == (1 if n == 4 else 0), n
         assert r.value.hex() == latmat.kappa_y0(n).hex(), n
         assert r.witness == constants.y0_mask(n), n
         assert np.array_equal(r.witness.to_matrix(), latmat.y0_matrix(n)), n
@@ -381,8 +410,8 @@ def test_certified_survivors_and_nodes():
 @pytest.mark.parametrize(
     "vector",
     [
-        lambda g0: np.zeros(g0.shape[0], dtype=object),  # prunes nothing
-        lambda g0: np.eye(g0.shape[0], dtype=object)[0],  # far from the top
+        lambda n: [0] * n,  # prunes nothing
+        lambda n: [1] + [0] * (n - 1),  # far from the top
     ],
     ids=["zero", "first-unit"],
 )

@@ -302,6 +302,20 @@ def test_semimultiplicative_past_float64_decided_by_the_ratio():
     assert latmat.is_semimultiplicative(PosetFunction(p, [1e20, 1e155, 1e155, 1e290]))
 
 
+def test_semimultiplicative_tolerance_is_relative_at_any_scale():
+    p = latmat.divisor_poset([1, 2, 3, 6])
+    # f(2) f(3) = 10 f(1) f(6) fails at every scale
+    for scale in (1.0, 1e-6, 1e-100, 1e-160):
+        assert not latmat.is_semimultiplicative(PosetFunction(p, [scale * v for v in (1, 2, 3, 60)])), scale
+    # f(2) f(3) = 4.5 * 2**-1074 exactly, a tie that rounds down to 4 * 2**-1074,
+    # and f(1) f(6) is one ulp of f(6) above it, so it rounds up to 5 * 2**-1074:
+    # the subnormal products are 25% apart, their ratio 1 + 2**-52
+    a, b, c, d = 2.0**-600, 3 * 2.0**-538, 3 * 2.0**-537, 9 * 2.0**-475 * (1 + 2.0**-52)
+    assert (b * c, a * d) == (4 * 2.0**-1074, 5 * 2.0**-1074)
+    assert latmat.is_semimultiplicative(PosetFunction(p, [a, b, c, d]))
+    assert not latmat.is_semimultiplicative(PosetFunction(p, [a, b, c, d * (1 + 1e-8)]))
+
+
 def test_semimultiplicative_requires_lattice():
     p = latmat.divisor_poset([2, 3])
     f = PosetFunction.identity(p)
