@@ -128,13 +128,12 @@ def jacobi_eigenvalues(a: np.ndarray):
     def rowsum(x):
         return np.add.accumulate(x, axis=0)[-1] if n else x.sum(axis=0)
 
-    def norms(x):
+    def off_diagonal(x):
         sq = x * x
-        total = np.sqrt(rowsum(rowsum(sq)))
         sq[diag, diag] = 0.0
-        return total, np.sqrt(rowsum(rowsum(sq)))
+        return np.sqrt(rowsum(rowsum(sq)))
 
-    fro, off = norms(work)
+    fro, off = np.sqrt(rowsum(rowsum(work * work))), off_diagonal(work)
     thresh = JACOBI_TOL * fro
     sweeps = 0
     while off > thresh and sweeps < cap:
@@ -160,7 +159,7 @@ def jacobi_eigenvalues(a: np.ndarray):
             work = x[:, :m] + x[:, m:]
             work.put(zeros, 0.0)
         work = work.take(back, 0).take(back, 1)
-        off = norms(work)[1]
+        off = off_diagonal(work)
         sweeps += 1
     with np.errstate(over="ignore"):  # an eigenvalue past float64 raises below
         residual = float(np.ldexp(off, shift))

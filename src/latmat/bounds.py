@@ -24,7 +24,9 @@ import numpy as np
 
 from . import constants
 from .incidence import (
+    CONDITION_TOL,
     PosetFunction,
+    _ratio_within_rounding,
     down_convolution,
     is_semimultiplicative,
     pair_ratios,
@@ -36,7 +38,6 @@ from .matrices import CombinedSpec, FactorizationError, closed_d
 from .poset import LatticeError, PosetError, divisor_poset, divisors_of
 
 REPORT_TOL = 1e-9
-CONDITION_TOL = 1e-12
 
 
 class HypothesisError(ValueError):
@@ -172,7 +173,7 @@ def _require_nonzero_semimultiplicative(spec: CombinedSpec, domain, closure: str
             f"the lower bound requires an f that is nowhere-zero on S and its "
             f"{closure}; f vanishes at {domain.labels[k]!r}"
         )
-    if not _ratio_within_rounding(f, 0.0) and not is_semimultiplicative(f, spec.subset):
+    if not is_semimultiplicative(f, spec.subset):
         raise HypothesisError(
             "the lower bound requires a semimultiplicative f "
             "(f(x)f(y) = f(meet)f(join) for all pairs of S)"
@@ -233,8 +234,9 @@ def _extreme_fpow(spec: CombinedSpec, b: float, largest: bool) -> float:
 
 
 def _check_ratio_condition(spec: CombinedSpec, exponent: float) -> None:
-    """|f(meet)f(join)/(f(x_i)f(x_j))| ** exponent <= 1 for all pairs."""
-    if exponent == 0.0:
+    """|f(meet)f(join)/(f(x_i)f(x_j))| ** exponent <= 1 for all pairs: at once
+    where ``incidence._ratio_within_rounding`` proves it, else from the pair table."""
+    if exponent == 0.0 or _ratio_within_rounding(spec.f, exponent):
         return
     s = spec.subset
     ratio, undefined = pair_ratios(s, spec.f)
@@ -249,47 +251,6 @@ def _check_ratio_condition(spec: CombinedSpec, exponent: float) -> None:
             "the region condition |f(meet)f(join)/(f(x_i)f(x_j))|^e <= 1 "
             f"fails for the pair ({s.labels[a]!r}, {s.labels[b]!r})"
         )
-
-
-def _ratio_within_rounding(f: PosetFunction, exponent: float) -> bool:
-    """Whether f passes ``PosetFunction._chain_multiplicative`` and the bound
-    below proves, with no pair table, for every pair of the lattice and so of
-    any S inside it, the region's ratio condition at this exponent and f's
-    semimultiplicativity to SEMIMULT_TOL.  Premises, checked here in O(N),
-    for k generators: f(1) = 1; every f value lies in [2**-511, 2**512), so
-    every product of two is normal; and |exponent| * 4k * u <= CONDITION_TOL
-    / 8, u = 2**-53, which exponent 0 meets.
-
-    Proof.  f(x) is the float product r_k of f at x's chain members x_j,
-    r_0 = 1.0, r_j = fl(r_(j-1) f(x_j)).  As f(1) = 1, r_j is f at the label
-    x_1...x_j (the later factors f(1) multiply exactly), so every r_j is
-    normal and r_j = r_(j-1) f(x_j) (1 + d_j) with |d_j| <= u, d_1 = 0: f(x) is
-    the exact product P(x) times k-1 such factors.  The meet and the join
-    take each chain's smaller and larger member of x and y, so
-    P(meet) P(join) = P(x) P(y) exactly.  pair_ratios forms ((f(meet) f(join))
-    / f(x)) / f(y) on mantissas and binary exponents: each of its three steps
-    rounds once with |d| <= u, and the ratio, near 1, needs no further rounding.
-    The computed ratio is then 4k-1 factors (1 + d)**(+-1), and
-    |ratio - 1| <= g = (4k-1)u / (1 - (4k-1)u) (Higham, Accuracy and Stability
-    of Numerical Algorithms, Lemma 3.1).  The labels are below 2**63, so
-    k <= 15 and |ln ratio| <= g / (1 - g) <= 1.01 * 4k * u, and the exact
-    ratio**exponent is at most exp(1.01 * CONDITION_TOL / 8) < 1 + 0.13 *
-    CONDITION_TOL.  real_power returns C pow()'s value; even 1000 ulp of error
-    near 1 (2.3e-13) leaves it below the float 1 + CONDITION_TOL that the
-    table compares with, and f > 0 leaves no ratio undefined, so no pair of
-    the table would fail.  is_semimultiplicative compares lhs = fl(f(x) f(y))
-    with rhs = fl(f(meet) f(join)), each P(x) P(y) times 2k-1 factors (1 + d),
-    so their difference, exact by Sterbenz, is at most 2g'|lhs| / (1 - g') <
-    61u |lhs| for g' = (2k-1)u / (1 - (2k-1)u): far below SEMIMULT_TOL |lhs|.
-    """
-    fs = f.values
-    return (
-        f._chain_multiplicative
-        and abs(exponent) * 4 * len(f.parent._chains.q) * 2.0**-53 <= CONDITION_TOL / 8
-        and fs[0] == 1.0
-        and 2.0**-511 <= fs.min()
-        and fs.max() < 2.0**512
-    )
 
 
 def region_meet_closed(spec: CombinedSpec, c_value: ConstantValue) -> RegionReport:
@@ -310,17 +271,14 @@ def region_join_closed(spec: CombinedSpec, c_value: ConstantValue) -> RegionRepo
 
 def _region(spec: CombinedSpec, c_value, side, a, b) -> RegionReport:
     """The region on either side.  d comes from ``matrices.closed_d``, with no
-    incidence matrix E.  The ratio condition is proved by
-    ``_ratio_within_rounding`` where its premises hold, and read off the pair
-    table of the ratios otherwise.  H's power of |f| is taken at the extreme
-    |f| on S, as the lower bound's min_fpow is.
+    incidence matrix E.  H's power of |f| is taken at the extreme |f| on S,
+    as the lower bound's min_fpow is.
     """
     try:
         d = closed_d(spec.subset, spec.f, a - b, side)
     except FactorizationError:  # the set is not closed
         raise HypothesisError(f"the {side}-side region requires a {side} closed set") from None
-    if not _ratio_within_rounding(spec.f, b):
-        _check_ratio_condition(spec, b)
+    _check_ratio_condition(spec, b)
     h = c_value.value * _extreme_fpow(spec, b, largest=True) * float(np.abs(d).max())
     diag_exp = spec.alpha + spec.beta - 2.0 * spec.gamma
     centers = powers_by_value(spec.f.values[list(spec.subset.indices)], lambda v: real_power(v, diag_exp))

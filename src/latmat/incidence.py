@@ -18,6 +18,7 @@ import numpy as np
 from .poset import ElementSubset, Poset, _parse_label
 
 SEMIMULT_TOL = 1e-9
+CONDITION_TOL = 1e-12  # of the region condition |ratio|**e <= 1 in bounds
 EXACT_POWER_BITS = 1 << 16  # the most bits one exact power may take
 
 
@@ -102,9 +103,6 @@ class PosetFunction:
 
     def __call__(self, label) -> float:
         return float(self.values[self.parent.index_of(label)])
-
-    def value_at(self, index: int) -> float:
-        return float(self.values[index])
 
     @property
     def is_integer_valued(self) -> bool:
@@ -226,6 +224,45 @@ def pair_ratios(s: ElementSubset, f: PosetFunction):
     return ratio, (fs == 0.0)[:, None] | (fs == 0.0)[None, :]
 
 
+def _ratio_within_rounding(f: PosetFunction, exponent: float) -> bool:
+    """Whether f passes ``PosetFunction._chain_multiplicative`` and the bound
+    below proves, with no pair table, for every pair of the lattice and so of
+    any S inside it, the region's ratio condition at this exponent and f's
+    semimultiplicativity to SEMIMULT_TOL.  Premises, checked here in O(N),
+    for k generators: f(1) = 1; every f value lies in [2**-511, 2**512), so
+    every product of two is normal; and |exponent| * 4k * u <= CONDITION_TOL
+    / 8, u = 2**-53, which exponent 0 meets.
+
+    Proof.  f(x) is the float product r_k of f at x's chain members x_j,
+    r_0 = 1.0, r_j = fl(r_(j-1) f(x_j)).  As f(1) = 1, r_j is f at the label
+    x_1...x_j (the later factors f(1) multiply exactly), so every r_j is
+    normal and r_j = r_(j-1) f(x_j) (1 + d_j) with |d_j| <= u, d_1 = 0: f(x) is
+    the exact product P(x) times k-1 such factors.  The meet and the join
+    take each chain's smaller and larger member of x and y, so
+    P(meet) P(join) = P(x) P(y) exactly.  pair_ratios forms ((f(meet) f(join))
+    / f(x)) / f(y) on mantissas and binary exponents: each of its three steps
+    rounds once with |d| <= u, and the ratio, near 1, needs no further rounding.
+    The computed ratio is then 4k-1 factors (1 + d)**(+-1), and
+    |ratio - 1| <= g = (4k-1)u / (1 - (4k-1)u) (Higham, Accuracy and Stability
+    of Numerical Algorithms, Lemma 3.1).  The labels are below 2**63, so
+    k <= 15 and |ln ratio| <= g / (1 - g) <= 1.01 * 4k * u, and the exact
+    ratio**exponent is at most exp(1.01 * CONDITION_TOL / 8) < 1 + 0.13 *
+    CONDITION_TOL.  real_power returns C pow()'s value; even 1000 ulp of error
+    near 1 (2.3e-13) leaves it below the float 1 + CONDITION_TOL that the
+    table compares with, and f > 0 leaves no ratio undefined, so no pair of
+    the table would fail.  is_semimultiplicative reads the same ratio, within
+    g < 60u of 1: far inside SEMIMULT_TOL.
+    """
+    fs = f.values
+    return (
+        f._chain_multiplicative
+        and abs(exponent) * 4 * len(f.parent._chains.q) * 2.0**-53 <= CONDITION_TOL / 8
+        and fs[0] == 1.0
+        and 2.0**-511 <= fs.min()
+        and fs.max() < 2.0**512
+    )
+
+
 def down_convolution(f: PosetFunction, alpha: float, s: ElementSubset) -> ConvolutionVector:
     """The g on the order ideal of S whose sum over w <= x is f(x)**alpha:
     g(w) is the sum of f(z)**alpha * mu(z, w) over z below w."""
@@ -283,21 +320,18 @@ def _convolution(direction: str, f: PosetFunction, alpha: float, domain) -> Conv
 def is_semimultiplicative(f: PosetFunction, s: ElementSubset | None = None) -> bool:
     """Check f(x)f(y) = f(meet)f(join) for every pair of members of s (default:
     every element of f's poset), to the relative tolerance SEMIMULT_TOL at any scale of
-    f: |f(x)f(y) - f(meet)f(join)| <= SEMIMULT_TOL |f(x)f(y)|, or, for a pair with
-    f(x)f(y) != 0 whose products leave float64's normal range,
-    |f(meet)f(join) / f(x) / f(y) - 1| <= SEMIMULT_TOL.  A pair without a unique meet
-    or join raises LatticeError."""
+    f, by one rule on ``pair_ratios``: a pair with f(x)f(y) != 0 passes when
+    |f(meet)f(join) / f(x) / f(y) - 1| <= SEMIMULT_TOL, and one with f(x)f(y) = 0 when
+    f(meet)f(join) = 0.  True at once where ``_ratio_within_rounding`` proves every
+    pair passes.  A pair without a unique meet or join raises LatticeError."""
     if s is None:
         s = ElementSubset(f.parent, range(len(f.parent)), validate=False)
     if s.parent is not f.parent:
         raise ValueError("function and subset live on different posets")
-    fs, meet, join = f.values[list(s.indices)], f.values[s.pair_indices("meet")], f.values[s.pair_indices("join")]
-    nonzero, tiny = np.abs(f.values[f.values != 0.0]), np.finfo(np.float64).tiny
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # a pair past float64 is decided by its ratio
-        lhs, rhs = np.outer(fs, fs), meet * join
-        mismatch = np.abs(lhs - rhs) > SEMIMULT_TOL * np.abs(lhs)
-        if nonzero.size and not tiny <= nonzero.min() ** 2 <= nonzero.max() ** 2 < np.inf:
-            small = np.minimum(np.abs(lhs), np.abs(rhs)) < tiny
-            past = ~(np.isfinite(lhs) & np.isfinite(rhs)) | small & np.outer(fs != 0.0, fs != 0.0)
-            mismatch[past] = ~(np.abs(pair_ratios(s, f)[0][past] - 1.0) <= SEMIMULT_TOL)
+    if _ratio_within_rounding(f, 0.0):
+        return True
+    ratio, undefined = pair_ratios(s, f)
+    zero = f.values == 0.0
+    vanishes = zero[s.pair_indices("meet")] | zero[s.pair_indices("join")]  # f(meet)f(join) = 0
+    mismatch = np.where(undefined, ~vanishes, np.abs(ratio - 1.0) > SEMIMULT_TOL)
     return not np.triu(mismatch, 1).any()

@@ -117,7 +117,8 @@ class CombinedSpec:
         if len(s) != len(p) or self.gamma != self.delta or f.parent is not p or not f._chain_multiplicative:
             return None
         chains = p._chains.members()  # the poset indices of 1, q, ..., q^e for each generator q
-        union = np.unique(np.concatenate([[0], *chains]))  # with k = 0, the bottom alone
+        # the bottom (alone when k = 0) and the chains' members, by a set: numpy 2.4's np.unique imports numpy.ma
+        union = np.array(sorted({0}.union(*(c.tolist() for c in chains))))
         m = combined_matrix(replace(self, subset=ElementSubset(p, union, validate=False)))
         parts = [eigen_symmetric(m[np.ix_(block, block)]) for block in (np.searchsorted(union, c) for c in chains)]
         products = float_product([(e, True) for e in np.ix_(*[part.eigenvalues for part in parts])])

@@ -456,6 +456,21 @@ def test_importing_the_cli_leaves_the_selftest_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_whole_lattice_bounds_leave_numpy_ma_unloaded():
+    # np.unique imports numpy.ma on some numpy versions; the chain union needs no unique
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    code = (
+        "import contextlib, io, sys\n"
+        "from latmat.cli import run\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = run(['bounds', '--poset', 'divisors:1,2,3,4,6,12', '--exp=1,0,0,0'])\n"
+        "print(code, 'numpy.ma' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "0 False"
+
+
 def test_readme_library_quick_start_runs():
     # the README's "Library quick start" block runs, so a public name the
     # package no longer has cannot stay in the docs

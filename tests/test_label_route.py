@@ -242,7 +242,7 @@ def test_union_blocks_are_the_per_chain_matrices(m, alpha, beta, monkeypatch):
 def _assert_region_is_the_loop(spec, report, cval, b):
     """The report's H, discs and verdict against one literal loop over every
     eigenvalue and every disc."""
-    fs = [spec.f.value_at(i) for i in spec.subset.indices]
+    fs = spec.f.values[list(spec.subset.indices)].tolist()
     fpow = max(latmat.real_power(abs(v), 2.0 * (b - spec.gamma)) for v in fs)
     h = cval.value * fpow * float(np.abs(report.d_values).max())
     diag_exp = spec.alpha + spec.beta - 2.0 * spec.gamma
@@ -398,6 +398,28 @@ def test_whole_lattice_lower_bounds_form_no_table(alpha, beta, monkeypatch):
         report = lower_bound(spec, c)
         assert report.holds and report.true_kappa > 0.0
     assert "_leq" not in vars(spec.f.parent)
+
+
+def test_chain_proof_checks_form_no_pair_table(monkeypatch):
+    # within the rounding proof's premises neither is_semimultiplicative nor the
+    # region's ratio condition reaches a pair ratio or a meet or join table
+    def refuse(*args):
+        raise AssertionError("a pair table was formed")
+
+    for owner, name in ((Poset, "_pairs"), (incidence, "pair_ratios"), (bounds, "pair_ratios")):
+        monkeypatch.setattr(owner, name, refuse)
+    spec = bounds.divisor_closed_family(9777287520, 1.0, 0.0)
+    p = spec.f.parent
+    assert latmat.is_semimultiplicative(spec.f)
+    assert latmat.is_semimultiplicative(spec.f, p.subset(p.elements[5:]))
+    for exponent in (-1.0, -0.5, 0.5, 1.0, 1.5):
+        bounds._check_ratio_condition(spec, exponent)
+    # off the premises both take the table: f + 1 is not multiplicative, and
+    # the exponent 1e6 is past |exponent| * 4k * 2**-53 <= 1e-12 / 8
+    with pytest.raises(AssertionError, match="pair table"):
+        latmat.is_semimultiplicative(PosetFunction(p, spec.f.values + 1.0))
+    with pytest.raises(AssertionError, match="pair table"):
+        bounds._check_ratio_condition(spec, 1e6)
 
 
 def test_chain_multiplicativity_is_decided_once_per_function(monkeypatch):
